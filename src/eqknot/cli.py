@@ -6,8 +6,8 @@ Case file schema (JSON object):
   edges: array of [u, v, weight]
   symmetry: {vertex_perm: array, order: int,
              kind: "periodic" | "strong_inversion", lift_sign: 1 | -1}
-  positive_crossings: optional int
-  sigma: optional int (overrides the computed signature)
+  positive_crossings: optional int from 0 to the number of edges
+  sigma: optional even int (overrides the computed signature)
   bounds: optional object with BoundsInput fields
 
 Exit codes: 0 computed (any verdict), 2 input error, 3 theorem hypothesis
@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +31,7 @@ from .checkerboard import (CheckerboardGraph, SymmetrySpec, gl_lattice,
 from .embedsearch import (ObstructionReport, donaldson_obstruction,
                           enumerate_embeddings, orbit_classes)
 from .gsignature import gsig_involution, gsig_periodic
-from .lattice import GramLattice, is_positive_definite, signature
+from .lattice import GramLattice, is_positive_definite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,6 +41,8 @@ EXIT_HYPOTHESIS = 3
 class CaseError(Exception):
     """Input validation failure with a machine-readable code."""
 
+    exit_code = EXIT_INPUT
+
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
@@ -51,15 +51,10 @@ class CaseError(Exception):
         return f"{self.code}: {self.args[0]}"
 
 
-class HypothesisError(Exception):
+class HypothesisError(CaseError):
     """A theorem hypothesis is not met; the computation does not apply."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-    def __str__(self):
-        return f"{self.code}: {self.args[0]}"
+    exit_code = EXIT_HYPOTHESIS
 
 
 @dataclass(frozen=True)
@@ -125,11 +120,20 @@ def parse_case(text: str) -> KnotCase:
                         "vertex_perm does not preserve the weighted edges")
     pc = doc.get("positive_crossings")
     sig = doc.get("sigma")
-    if pc is not None and sig is not None:
-        if knot_signature(graph, pc) != sig:
+    if sig is not None and not (_is_int(sig) and sig % 2 == 0):
+        raise CaseError("SCHEMA", "'sigma' must be an even integer")
+    if pc is not None:
+        if not (_is_int(pc) and 0 <= pc <= len(graph.edges)):
+            raise CaseError("SCHEMA", "'positive_crossings' must be an "
+                            f"integer from 0 to {len(graph.edges)}")
+        implied = knot_signature(graph, pc)
+        if sig is not None and implied != sig:
             raise CaseError("SIGMA_MISMATCH",
                             "supplied sigma disagrees with the "
                             "Gordon-Litherland signature formula")
+        if implied % 2:
+            raise CaseError("SCHEMA", "'positive_crossings' gives an odd "
+                            "signature, so the diagram is not a knot")
     extras = None
     if "bounds" in doc:
         b = doc["bounds"]
@@ -141,6 +145,10 @@ def parse_case(text: str) -> KnotCase:
         extras = BoundsInput(**b)
     return KnotCase(name=name, graph=graph, symmetry=spec,
                     positive_crossings=pc, sigma_K=sig, bounds_extras=extras)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def serialize_case(case: KnotCase) -> str:
@@ -200,7 +208,7 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
 
 
 def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
-                   sign_mode: str, threads: int) -> dict:
+                   sign_mode: str) -> tuple[ObstructionReport, int]:
     G = gl_lattice(case.graph, drop_vertex)
     if not is_positive_definite(G):
         raise HypothesisError(
@@ -211,13 +219,14 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
     if sigma is None:
         raise CaseError("MISSING_SIGMA",
                         "need 'sigma' or 'positive_crossings' to set k")
+    if sigma > 0:
+        raise HypothesisError("POSITIVE_SIGMA",
+                              "stated for sigma(K) <= 0; mirror the knot "
+                              "first")
     R = induced_isometry(case.graph, case.symmetry, drop_vertex)
     rep = donaldson_obstruction(G, R, sigma, case.symmetry.order,
-                                sign_mode=sign_mode, threads=threads)
-    out = obstruction_to_dict(rep)
-    out["name"] = case.name
-    out["sigma"] = sigma
-    return out
+                                sign_mode=sign_mode)
+    return rep, sigma
 
 
 def _print_obstruction(doc: dict, out):
@@ -248,9 +257,41 @@ def _read(path: str) -> str:
         raise CaseError("IO", f"cannot read {path}: {e}") from e
 
 
+def _load_gram(path: str, involution: bool = False
+               ) -> tuple[GramLattice, Optional[list]]:
+    """The form in a --gram JSON file and, if asked for, the involution.
+
+    Without `involution` the file may also be the bare Gram matrix."""
+    try:
+        raw = json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise CaseError("SCHEMA", f"not valid JSON: {e}") from e
+    if not involution and not isinstance(raw, dict):
+        raw = {"gram": raw}
+    keys = ("gram", "involution") if involution else ("gram",)
+    if not isinstance(raw, dict) or any(key not in raw for key in keys):
+        raise CaseError("SCHEMA", "--gram file needs "
+                        f"{' and '.join(map(repr, keys))} matrices")
+    for key in keys:
+        M = raw[key]
+        if not (isinstance(M, list) and all(
+                isinstance(row, list) and len(row) == len(M)
+                and all(map(_is_int, row)) for row in M)):
+            raise CaseError("SCHEMA",
+                            f"'{key}' must be a square integer matrix")
+    try:
+        G = GramLattice(raw["gram"])
+    except ValueError as e:
+        raise CaseError("SCHEMA", f"bad 'gram': {e}") from e
+    return G, raw.get("involution")
+
+
 def cmd_obstruct(args, out) -> int:
     case = parse_case(_read(args.file))
-    doc = _obstruct_case(case, args.drop_vertex, args.sign_mode, args.threads)
+    rep, sigma = _obstruct_case(case, args.drop_vertex, args.sign_mode)
+    doc = obstruction_to_dict(rep)
+    doc["name"] = case.name
+    doc["sigma"] = sigma
     if args.json:
         print(json.dumps(doc, indent=2), file=out)
     else:
@@ -266,12 +307,9 @@ def cmd_gsig(args, out) -> int:
         val = gsig_periodic(args.period, args.sigma, args.quotient_sigma)
         doc = {"gsig": _rational(val), "method": "periodic-quotient-formula"}
     elif args.gram is not None:
-        raw = json.loads(_read(args.gram))
-        if not isinstance(raw, dict) or "gram" not in raw or "involution" not in raw:
-            raise CaseError("SCHEMA",
-                            "--gram file needs 'gram' and 'involution' matrices")
+        G, R = _load_gram(args.gram, involution=True)
         try:
-            rep = gsig_involution(GramLattice(raw["gram"]), raw["involution"])
+            rep = gsig_involution(G, R)
         except ValueError as e:
             raise HypothesisError("NOT_INVOLUTION", str(e)) from e
         doc = {"gsig": _rational(rep.gsig), "sigma_plus": rep.sigma_plus,
@@ -319,13 +357,11 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_embed(args, out) -> int:
-    raw = json.loads(_read(args.gram))
-    gram = raw["gram"] if isinstance(raw, dict) else raw
-    G = GramLattice(gram)
+    G, _ = _load_gram(args.gram)
     if not is_positive_definite(G):
         raise HypothesisError("NOT_DEFINITE",
                               "form is not positive definite")
-    embs = enumerate_embeddings(G, args.k, threads=args.threads)
+    embs = enumerate_embeddings(G, args.k)
     classes = orbit_classes(embs)
     doc = {
         "k": args.k,
@@ -349,43 +385,31 @@ def cmd_embed(args, out) -> int:
 def _batch_row(path: Path, sign_mode: str) -> dict:
     try:
         case = parse_case(path.read_text())
-        doc = _obstruct_case(case, None, sign_mode, 1)
+        rep, sigma = _obstruct_case(case, None, sign_mode)
         binp = case.bounds_extras or BoundsInput()
         if binp.sigma_K is None:
             binp = BoundsInput(**{**{f: getattr(binp, f) for f in _BOUNDS_FIELDS},
-                                  "sigma_K": doc["sigma"]})
-        brep = aggregate(binp, obstruction=_rebuild_obstruction(doc))
+                                  "sigma_K": sigma})
+        brep = aggregate(binp, obstruction=rep)
         return {
             "name": case.name,
             "file": path.name,
-            "sigma": doc["sigma"],
-            "k": doc["k"],
-            "classes": doc["class_count"],
-            "obstructed": doc["obstructed"],
+            "sigma": sigma,
+            "k": rep.k,
+            "classes": rep.class_count,
+            "obstructed": rep.obstructed,
             "best_lower": brep.best_lower,
             "best_upper": brep.best_upper,
         }
-    except (CaseError, HypothesisError) as e:
+    except CaseError as e:
         return {"name": path.stem, "file": path.name, "error": str(e)}
-
-
-def _rebuild_obstruction(doc: dict) -> ObstructionReport:
-    return ObstructionReport(k=doc["k"], class_count=doc["class_count"],
-                             per_class=(), obstructed=doc["obstructed"],
-                             conclusion=doc["conclusion"])
 
 
 def cmd_batch(args, out) -> int:
     root = Path(args.directory)
     if not root.is_dir():
         raise CaseError("IO", f"not a directory: {args.directory}")
-    files = sorted(root.glob("*.json"))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda p: _batch_row(p, args.sign_mode),
-                                 files))
-    else:
-        rows = [_batch_row(p, args.sign_mode) for p in files]
+    rows = [_batch_row(p, args.sign_mode) for p in sorted(root.glob("*.json"))]
     rows.sort(key=lambda r: r["name"])
     if args.json:
         for row in rows:
@@ -405,16 +429,6 @@ def cmd_batch(args, out) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EQKNOT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="eqknot",
@@ -425,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--json", action="store_true",
                         help="emit the JSON report")
-        sp.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads (or EQKNOT_THREADS)")
 
     ob = sub.add_parser("obstruct", help="equivariant embedding obstruction")
     ob.add_argument("file")
@@ -491,10 +503,7 @@ def main(argv=None, out=None) -> int:
         return args.func(args, out)
     except CaseError as e:
         print(f"error {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except HypothesisError as e:
-        print(f"error {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -11,15 +11,14 @@ embedding classes and finding no such delta obstructs the genus value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .checkerboard import LatticeIsometry
-from .lattice import GramLattice, Matrix, is_positive_definite, mat_mul, transpose
+from .lattice import (GramLattice, Matrix, _as_matrix, is_positive_definite,
+                      mat_mul, transpose)
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,18 @@ def enumerate_vectors(k: int, norm: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]], k: int,
-                         threads: int = 1) -> list[Embedding]:
+def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
+                         k: int) -> list[Embedding]:
     """All integer matrices E with E^T E = G, G positive definite.
 
-    Depth-first over columns: column j ranges over the norm-G[j][j]
-    vectors whose inner products with already-placed columns match G.
-    Candidate filtering is vectorized; the output order is deterministic
-    (lexicographic in the column vectors) regardless of thread count.
+    Depth-first over columns: column j ranges over the pool of norm-G[j][j]
+    vectors of Z^k, in lexicographic order. For every pair of columns
+    j < t and every vector u in pool j, an int bitmask marks the vectors
+    of pool t whose inner product with u is G[j][t]. The search keeps one
+    bitmask of live candidates per later column, intersects them with the
+    masks of the vector it places, and prunes as soon as one is empty.
+    Candidates are taken in pool order, so the output is lexicographic in
+    the column vectors.
     """
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
@@ -140,54 +143,45 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]], k: int,
     m = G.rank
     if m == 0:
         return [Embedding(k, [() for _ in range(k)])]
-    cand0 = [np.array(enumerate_vectors(k, g[j][j]), dtype=np.int64
-                      ).reshape(-1, k) for j in range(m)]
+    pools = [enumerate_vectors(k, g[j][j]) for j in range(m)]
+    # masks[j][a][t - j - 1]: the vectors of pool t matching pools[j][a]
+    masks = [[tuple(_match_mask(u, pools[t], g[j][t])
+                    for t in range(j + 1, m))
+              for u in pools[j]] for j in range(m - 1)]
 
-    results: list[tuple] = []
+    out: list[Embedding] = []
+    chosen: list[tuple[int, ...]] = []
 
-    def dfs(j: int, chosen: list, future: list[np.ndarray], sink: list):
-        cand = future[0]
-        if j == m - 1:
-            for v in cand:
-                sink.append(tuple(chosen) + (tuple(int(x) for x in v),))
-            return
-        for v in cand:
-            nxt = []
-            ok = True
-            for t, arr in enumerate(future[1:], start=j + 1):
-                arr = arr[arr @ v == g[j][t]]
-                if arr.shape[0] == 0:
-                    ok = False
-                    break
-                nxt.append(arr)
-            if ok:
-                chosen.append(tuple(int(x) for x in v))
-                dfs(j + 1, chosen, nxt, sink)
-                chosen.pop()
+    def dfs(j: int, live: tuple[int, ...]):
+        # live[i]: the candidates left for column j + i, as a bitmask
+        cand, later = live[0], live[1:]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            a = low.bit_length() - 1
+            chosen.append(pools[j][a])
+            if not later:
+                out.append(Embedding(k, zip(*chosen)))
+            else:
+                nxt = []
+                for x, mask in zip(later, masks[j][a]):
+                    x &= mask
+                    if not x:
+                        break
+                    nxt.append(x)
+                else:
+                    dfs(j + 1, tuple(nxt))
+            chosen.pop()
 
-    first = cand0[0]
-    if threads > 1 and m > 1 and first.shape[0] > 1:
-        def work(v):
-            sink: list = []
-            nxt = []
-            for t in range(1, m):
-                arr = cand0[t][cand0[t] @ v == g[0][t]]
-                if arr.shape[0] == 0:
-                    return sink
-                nxt.append(arr)
-            dfs(1, [tuple(int(x) for x in v)], nxt, sink)
-            return sink
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(work, list(first)):
-                results.extend(part)
-    else:
-        dfs(0, [], cand0, results)
-
-    out = []
-    for cols in results:
-        rows = tuple(tuple(col[i] for col in cols) for i in range(k))
-        out.append(Embedding(k, rows))
+    dfs(0, tuple((1 << len(pool)) - 1 for pool in pools))
     return out
+
+
+def _match_mask(u: tuple[int, ...], pool: list[tuple[int, ...]],
+                product: int) -> int:
+    """Bit b is set iff u . pool[b] == product."""
+    return sum(1 << b for b, w in enumerate(pool)
+               if sum(map(mul, u, w)) == product)
 
 
 def _normalize_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -227,8 +221,7 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     zero rows of E.R are matched by zero rows of E with a free sign, and
     the search backtracks over those subject only to the order condition.
     """
-    Rm = R.matrix if isinstance(R, LatticeIsometry) else tuple(
-        tuple(int(x) for x in row) for row in R)
+    Rm = _as_matrix(R)
     m = E.source_rank
     if len(Rm) != m or any(len(row) != m for row in Rm):
         raise ValueError("isometry dimension does not match embedding source")
@@ -284,8 +277,7 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
                           R: LatticeIsometry,
                           sigma_K: int,
                           order: int,
-                          sign_mode: str = "strict",
-                          threads: int = 1) -> ObstructionReport:
+                          sign_mode: str = "strict") -> ObstructionReport:
     """Decide the equivariant embedding obstruction.
 
     Sets k = -sigma_K + rank(G), enumerates all embedding classes into
@@ -302,7 +294,7 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     if sign_mode not in ("strict", "both"):
         raise ValueError("sign_mode must be 'strict' or 'both'")
     k = -sigma_K + G.rank
-    embeddings = enumerate_embeddings(G, k, threads=threads)
+    embeddings = enumerate_embeddings(G, k)
     classes = orbit_classes(embeddings)
     per_class = []
     any_delta = False

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .checkerboard import LatticeIsometry
-from .lattice import (GramLattice, eigenspace_basis, identity, mat_eq,
-                      mat_mul, restrict_form, signature, transpose)
+from .lattice import (GramLattice, _as_matrix, eigenspace_basis, identity,
+                      mat_eq, mat_mul, restrict_form, signature, transpose)
 
 
 @dataclass(frozen=True)
@@ -26,18 +25,13 @@ class GSignatureReport:
     dims: tuple[int, int]
 
 
-def _isometry_matrix(R):
-    return R.matrix if isinstance(R, LatticeIsometry) else tuple(
-        tuple(int(x) for x in row) for row in R)
-
-
 def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
                     R) -> GSignatureReport:
     """sigma~ = sigma(G | ker(R-I)) - sigma(G | ker(R+I)) for an involution
     R preserving G."""
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
-    Rm = _isometry_matrix(R)
+    Rm = _as_matrix(R)
     n = G.rank
     if len(Rm) != n:
         raise ValueError("isometry rank does not match form rank")
@@ -68,7 +62,7 @@ def gsig_direct_sum(G1, R1, G2, R2) -> GSignatureReport:
         G1 = GramLattice(G1)
     if not isinstance(G2, GramLattice):
         G2 = GramLattice(G2)
-    R1m, R2m = _isometry_matrix(R1), _isometry_matrix(R2)
+    R1m, R2m = _as_matrix(R1), _as_matrix(R2)
     n1, n2 = G1.rank, G2.rank
     G = [[0] * (n1 + n2) for _ in range(n1 + n2)]
     R = [[0] * (n1 + n2) for _ in range(n1 + n2)]

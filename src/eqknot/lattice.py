@@ -140,6 +140,8 @@ def is_positive_definite(G: GramLattice | Sequence[Sequence]) -> bool:
 
 
 def _as_matrix(R) -> Matrix:
+    """The matrix of a LatticeIsometry, or a plain matrix, as a tuple of
+    rows. Entries stay exact: nothing is rounded or truncated."""
     return _freeze(R.matrix if hasattr(R, "matrix") else R)
 
 

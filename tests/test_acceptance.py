@@ -36,7 +36,7 @@ def test_criterion_1_9_40_obstruction():
     G = gl_lattice(g)
     s = SymmetrySpec([2, 3, 0, 1, 4], 2, "strong_inversion", 1)
     R = induced_isometry(g, s)
-    rep = donaldson_obstruction(G, R, -2, 2, threads=1)
+    rep = donaldson_obstruction(G, R, -2, 2)
     elapsed = time.monotonic() - t0
     assert rep.k == 6
     assert rep.class_count == 2

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,17 @@ from eqknot.cli import (CaseError, main, parse_case, serialize_case)
 FIXTURES = Path(__file__).parent / "fixtures"
 NINE_40 = FIXTURES / "9_40.json"
 NINE_46 = FIXTURES / "9_46_gram.json"
+
+BAD_GRAM_FILES = {
+    "malformed": "{broken",
+    "asymmetric": json.dumps({"gram": [[2, 1], [0, 2]],
+                              "involution": [[1, 0], [0, 1]]}),
+    "not_square": json.dumps({"gram": [[2, 0, 0], [0, 2, 0]],
+                              "involution": [[1, 0], [0, 1]]}),
+    "not_integer": json.dumps({"gram": [[2, 0.5], [0.5, 2]],
+                               "involution": [[1, 0], [0, 1]]}),
+    "missing_gram": json.dumps({"involution": [[1, 0], [0, 1]]}),
+}
 
 
 def run(argv):
@@ -59,6 +73,27 @@ class TestParseCase:
             parse_case("not json")
         assert e.value.code == "SCHEMA"
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", -1), ("sigma", "-2"), ("sigma", -2.5), ("sigma", True),
+        ("positive_crossings", -1), ("positive_crossings", 10),
+        ("positive_crossings", 6.0),
+    ])
+    def test_bad_sigma_or_crossings_schema(self, field, value):
+        doc = json.loads(NINE_40.read_text())
+        del doc["sigma"], doc["positive_crossings"]
+        doc[field] = value
+        with pytest.raises(CaseError) as e:
+            parse_case(json.dumps(doc))
+        assert e.value.code == "SCHEMA"
+
+    def test_odd_implied_sigma_schema(self):
+        doc = json.loads(NINE_40.read_text())
+        del doc["sigma"]
+        doc["positive_crossings"] = 5
+        with pytest.raises(CaseError) as e:
+            parse_case(json.dumps(doc))
+        assert e.value.code == "SCHEMA"
+
 
 class TestObstructCommand:
     def test_9_40_json(self):
@@ -92,6 +127,20 @@ class TestObstructCommand:
         code, _ = run(["obstruct", "/nonexistent.json"])
         assert code == 2
 
+    def test_positive_sigma_exit_3(self, tmp_path):
+        doc = json.loads(NINE_40.read_text())
+        del doc["positive_crossings"]
+        doc["sigma"] = 2
+        p = tmp_path / "mirror.json"
+        p.write_text(json.dumps(doc))
+        code, _ = run(["obstruct", str(p)])
+        assert code == 3
+
+    def test_removed_threads_flag_exit_2(self):
+        with pytest.raises(SystemExit) as e:
+            run(["obstruct", str(NINE_40), "--threads", "2"])
+        assert e.value.code == 2
+
 
 class TestGsigCommand:
     def test_raw_gram_946(self):
@@ -119,6 +168,21 @@ class TestGsigCommand:
         p.write_text(json.dumps(bad))
         code, _ = run(["gsig", "--gram", str(p)])
         assert code == 3
+
+    @pytest.mark.parametrize("name", sorted(BAD_GRAM_FILES))
+    def test_bad_gram_file_exit_2(self, tmp_path, name, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(BAD_GRAM_FILES[name])
+        code, _ = run(["gsig", "--gram", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error SCHEMA")
+
+    def test_non_square_involution_exit_2(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"gram": [[2, 0], [0, 2]],
+                                 "involution": [[1, 0]]}))
+        code, _ = run(["gsig", "--gram", str(p)])
+        assert code == 2
 
 
 class TestBoundsCommand:
@@ -163,6 +227,21 @@ class TestEmbedCommand:
         code, _ = run(["embed", "--gram", str(p), "--k", "2"])
         assert code == 3
 
+    def test_bare_matrix_file(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([[2, 0], [0, 2]]))
+        code, out = run(["embed", "--gram", str(p), "--k", "2", "--json"])
+        assert code == 0
+        assert json.loads(out)["embedding_count"] == 8
+
+    @pytest.mark.parametrize("name", sorted(BAD_GRAM_FILES))
+    def test_bad_gram_file_exit_2(self, tmp_path, name, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(BAD_GRAM_FILES[name])
+        code, _ = run(["embed", "--gram", str(p), "--k", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error SCHEMA")
+
 
 class TestBatchCommand:
     def test_single_fixture(self, tmp_path):
@@ -182,18 +261,24 @@ class TestBatchCommand:
     def test_malformed_file_inline_error(self, tmp_path):
         (tmp_path / "9_40.json").write_text(NINE_40.read_text())
         (tmp_path / "bad.json").write_text("{broken")
+        odd = json.loads(NINE_40.read_text())
+        del odd["positive_crossings"]
+        odd["sigma"] = -1
+        (tmp_path / "odd.json").write_text(json.dumps(odd))
         code, out = run(["batch", str(tmp_path), "--json"])
         assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert len(rows) == 2
-        assert any("error" in r for r in rows)
-        assert any(r.get("obstructed") for r in rows)
+        rows = {r["file"]: r for r in map(json.loads, out.splitlines())}
+        assert len(rows) == 3
+        assert rows["bad.json"]["error"].startswith("SCHEMA")
+        assert rows["odd.json"]["error"].startswith("SCHEMA")
+        assert rows["9_40.json"]["obstructed"] is True
 
-    def test_deterministic_across_threads(self, tmp_path):
-        (tmp_path / "9_40.json").write_text(NINE_40.read_text())
-        doc = json.loads(NINE_40.read_text())
-        doc["name"] = "9_40_copy"
-        (tmp_path / "copy.json").write_text(json.dumps(doc))
-        _, serial = run(["batch", str(tmp_path), "--json", "--threads", "1"])
-        _, parallel = run(["batch", str(tmp_path), "--json", "--threads", "4"])
-        assert serial == parallel
+
+def test_import_leaves_numpy_out():
+    code = ("import sys, eqknot.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0

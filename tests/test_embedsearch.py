@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -58,16 +59,18 @@ class TestEnumerateEmbeddings:
         for e in enumerate_embeddings(G, 3):
             assert e.gram().gram == G.gram
 
-    def test_threads_match_serial(self):
-        G = [[3, 1], [1, 3]]
-        serial = [e.matrix for e in enumerate_embeddings(G, 4, threads=1)]
-        parallel = [e.matrix for e in enumerate_embeddings(G, 4, threads=4)]
-        assert serial == parallel
+    def test_lexicographic_in_columns(self):
+        # the documented order: strictly increasing in the column vectors
+        embs = enumerate_embeddings([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4)
+        cols = [tuple(zip(*e.matrix)) for e in embs]
+        assert len(cols) > 1
+        assert all(a < b for a, b in zip(cols, cols[1:]))
 
     def test_brute_force_oracle_small(self, rng):
         # fixed sweep of small forms plus randoms; pruned == unpruned
         cases = [([[1]], 1), ([[2]], 2), ([[1, 0], [0, 1]], 2),
-                 ([[2, 1], [1, 2]], 3), ([[3, 0], [0, 3]], 3)]
+                 ([[2, 1], [1, 2]], 3), ([[3, 0], [0, 3]], 3),
+                 ([[2, 1], [1, 2]], 2)]  # none: prunes to empty
         for gram, k in cases:
             got = sorted(e.matrix for e in enumerate_embeddings(gram, k))
             want = sorted(e.matrix for e in
@@ -188,6 +191,12 @@ class TestEquivariantDelta:
         d = equivariant_delta(E, R, 2)
         assert d is not None
         assert d.matrix() == ((0, 1), (1, 0))
+
+    def test_fractional_isometry_not_truncated(self):
+        # truncating 1/2 to 0 would give R = Id, matched by delta = Id
+        E = Embedding(2, [(1, 0), (0, 1)])
+        R = [[1, Fraction(1, 2)], [0, 1]]
+        assert equivariant_delta(E, R, 1) is None
 
     def test_order_constraint_strict(self):
         E = Embedding(2, [(1, 0), (0, 1)])

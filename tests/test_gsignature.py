@@ -63,6 +63,13 @@ class TestInvolution:
         with pytest.raises(ValueError):
             gsig_involution([[1, 0], [0, 2]], [[0, 1], [1, 0]])
 
+    def test_fractional_entry_not_truncated(self):
+        # truncating 1/2 to 0 would make this the identity, an involution
+        with pytest.raises(ValueError):
+            gsig_involution([[1, 0], [0, 1]], [[1, Fraction(1, 2)], [0, 1]])
+        with pytest.raises(ValueError):
+            gsig_involution([[1, 0], [0, 1]], [[1, 0.5], [0, 1]])
+
     def test_antipode_negation(self, rng):
         for _ in range(200):
             G, S = _random_pair(rng)
