@@ -7,7 +7,7 @@ inversion acts on the graph by swapping two opposite pairs of vertices.
 
 If the equivariant 4-genus were -sigma/2 = 1, the Gordon-Litherland
 lattice would embed into (Z^6, Id) compatibly with the symmetry. We
-enumerate all embeddings, classify them up to signed permutations of the
+generate one embedding per class up to signed permutations of the
 ambient basis, and check each class for an intertwining automorphism of
 exact order 2. None exists, so the equivariant 4-genus is at least 2;
 two equivariant crossing changes give the unknot, so it is exactly 2.

@@ -8,8 +8,9 @@ from .bounds import (BoundsInput, BoundsReport, aggregate,
 from .checkerboard import (CheckerboardGraph, LatticeIsometry, SymmetrySpec,
                            gl_full_form, gl_lattice, induced_isometry,
                            is_automorphism, knot_signature)
-from .embedsearch import (Embedding, ObstructionReport, SignedPermutation,
-                          canonical_form, donaldson_obstruction,
+from .embedsearch import (Embedding, EmbeddingSet, ObstructionReport,
+                          SignedPermutation, canonical_form,
+                          donaldson_obstruction,
                           enumerate_embeddings, enumerate_vectors,
                           equivariant_delta, orbit_classes)
 from .gsignature import (GSignatureReport, gsig_direct_sum, gsig_involution,
@@ -19,7 +20,7 @@ from .lattice import (GramLattice, SignatureTriple, eigenspace_basis,
 
 __all__ = [
     "BoundsInput", "BoundsReport", "CheckerboardGraph", "Embedding",
-    "GSignatureReport", "GramLattice", "LatticeIsometry",
+    "EmbeddingSet",    "GSignatureReport", "GramLattice", "LatticeIsometry",
     "ObstructionReport", "SignatureTriple", "SignedPermutation",
     "SymmetrySpec", "aggregate", "canonical_form", "crossing_change_upper",
     "donaldson_obstruction", "eigenspace_basis", "enumerate_embeddings",

@@ -142,13 +142,45 @@ def parse_case(text: str) -> KnotCase:
         unknown = set(b) - set(_BOUNDS_FIELDS)
         if unknown:
             raise CaseError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
-        extras = BoundsInput(**b)
+        extras = _bounds_input(b)
     return KnotCase(name=name, graph=graph, symmetry=spec,
                     positive_crossings=pc, sigma_K=sig, bounds_extras=extras)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _bounds_input(fields: dict) -> BoundsInput:
+    """A BoundsInput from case-file or flag values, checked first: ints
+    (not bools), a period of at least 2, a non-negative move count, and a
+    g-signature that is an int or a fraction string."""
+    for key, value in fields.items():
+        if key == "gsig" and isinstance(value, str):
+            try:
+                Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise CaseError("SCHEMA", "'gsig' is not an integer or a "
+                                f"fraction: {value!r}") from None
+        elif value is not None and not _is_int(value):
+            raise CaseError("SCHEMA", f"'{key}' must be an integer")
+    _check_period(fields.get("period_n"))
+    moves = fields.get("equivariant_unknotting_moves")
+    if moves is not None and moves < 0:
+        raise CaseError("SCHEMA",
+                        "'equivariant_unknotting_moves' must be >= 0")
+    return BoundsInput(**fields)
+
+
+def _check_period(n: Optional[int]):
+    if n is not None and n < 2:
+        raise CaseError("SCHEMA", f"the period must be >= 2, not {n}")
+
+
+def _check_drop_vertex(case: KnotCase, v: Optional[int]):
+    n = case.graph.vertex_count
+    if v is not None and not 0 <= v < n:
+        raise CaseError("SCHEMA", f"--drop-vertex must be from 0 to {n - 1}")
 
 
 def serialize_case(case: KnotCase) -> str:
@@ -209,6 +241,7 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
 
 def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
                    sign_mode: str) -> tuple[ObstructionReport, int]:
+    _check_drop_vertex(case, drop_vertex)
     G = gl_lattice(case.graph, drop_vertex)
     if not is_positive_definite(G):
         raise HypothesisError(
@@ -304,6 +337,7 @@ def cmd_gsig(args, out) -> int:
         if args.sigma is None or args.quotient_sigma is None:
             raise CaseError("SCHEMA",
                             "--period needs --sigma and --quotient-sigma")
+        _check_period(args.period)
         val = gsig_periodic(args.period, args.sigma, args.quotient_sigma)
         doc = {"gsig": _rational(val), "method": "periodic-quotient-formula"}
     elif args.gram is not None:
@@ -320,6 +354,7 @@ def cmd_gsig(args, out) -> int:
         if case.symmetry.order != 2:
             raise HypothesisError("NOT_INVOLUTION",
                                   "eigenspace path needs an order-2 symmetry")
+        _check_drop_vertex(case, args.drop_vertex)
         G = gl_lattice(case.graph, args.drop_vertex)
         R = induced_isometry(case.graph, case.symmetry, args.drop_vertex)
         try:
@@ -341,13 +376,12 @@ def cmd_gsig(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
-    inp = BoundsInput(period_n=args.period, sigma_K=args.sigma,
-                      sigma_quotient=args.quotient_sigma,
-                      g4top_quotient=args.quotient_g4top,
-                      linking_lambda=args.linking,
-                      gsig=None if args.gsig is None else Fraction(args.gsig),
-                      equivariant_unknotting_moves=args.unknotting_moves,
-                      g4_K=args.g4, genus_upper=args.genus_upper)
+    inp = _bounds_input(dict(
+        period_n=args.period, sigma_K=args.sigma,
+        sigma_quotient=args.quotient_sigma,
+        g4top_quotient=args.quotient_g4top, linking_lambda=args.linking,
+        gsig=args.gsig, equivariant_unknotting_moves=args.unknotting_moves,
+        g4_K=args.g4, genus_upper=args.genus_upper))
     doc = bounds_to_dict(aggregate(inp))
     if args.json:
         print(json.dumps(doc, indent=2), file=out)
@@ -357,6 +391,8 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_embed(args, out) -> int:
+    if args.k < 0:
+        raise CaseError("SCHEMA", "--k must be >= 0")
     G, _ = _load_gram(args.gram)
     if not is_positive_definite(G):
         raise HypothesisError("NOT_DEFINITE",

@@ -121,18 +121,95 @@ def enumerate_vectors(k: int, norm: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
-                         k: int) -> list[Embedding]:
-    """All integer matrices E with E^T E = G, G positive definite.
+class EmbeddingSet(Sequence[Embedding]):
+    """All embeddings of a lattice into (Z^k, Id), held as their classes
+    under Aut(Z^k, Id).
 
-    Depth-first over columns: column j ranges over the pool of norm-G[j][j]
-    vectors of Z^k, in lexicographic order. For every pair of columns
-    j < t and every vector u in pool j, an int bitmask marks the vectors
-    of pool t whose inner product with u is G[j][t]. The search keeps one
+    `classes` holds (canonical representative, orbit size) pairs sorted
+    by representative; `orbit_classes` returns them for this set. len()
+    is the sum of the orbit sizes. Indexing and iteration expand the
+    orbits on first use and give every embedding once, in lexicographic
+    order in the column vectors.
+    """
+
+    def __init__(self, k: int, classes: Sequence[tuple[Embedding, int]]):
+        self.k = k
+        self.classes = tuple(classes)
+        self._len = sum(size for _, size in self.classes)
+        self._all: Optional[list[Embedding]] = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def _expanded(self) -> list[Embedding]:
+        if self._all is None:
+            mats = [M for rep, _ in self.classes for M in _orbit(rep.matrix)]
+            mats.sort(key=lambda M: tuple(zip(*M)))
+            self._all = [Embedding(self.k, M) for M in mats]
+        return self._all
+
+
+def _orbit(rows: Matrix) -> list[Matrix]:
+    """Every matrix P.rows with P in Aut(Z^k, Id), once each: the distinct
+    arrangements of the rows, with both signs on every nonzero row."""
+    kinds = sorted(set(rows))
+    left = [rows.count(r) for r in kinds]
+    out: list[Matrix] = []
+    cur: list[tuple[int, ...]] = []
+
+    def rec():
+        if len(cur) == len(rows):
+            out.append(tuple(cur))
+            return
+        for i, r in enumerate(kinds):
+            if not left[i]:
+                continue
+            left[i] -= 1
+            for signed in ((r, tuple(-x for x in r)) if any(r) else (r,)):
+                cur.append(signed)
+                rec()
+                cur.pop()
+            left[i] += 1
+
+    rec()
+    return out
+
+
+def _orbit_size(rows: Matrix) -> int:
+    """k!/(z! prod mu_r!) * 2^(k - z) for z zero rows and nonzero rows of
+    multiplicities mu_r: the orbit of `rows` under Aut(Z^k, Id)."""
+    k = len(rows)
+    zero = sum(1 for r in rows if not any(r))
+    size = math.factorial(k) << (k - zero)
+    for r in set(rows):
+        size //= math.factorial(rows.count(r))
+    return size
+
+
+def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
+                         k: int) -> EmbeddingSet:
+    """All integer matrices E with E^T E = G, G positive definite, as an
+    `EmbeddingSet` of their Aut(Z^k, Id) classes.
+
+    Orderly generation: only canonical matrices are built, i.e. those
+    whose rows are sorted and each lexicographically at most its negation
+    (the fixed points of `canonical_form`), so each class is found once.
+    Depth-first over columns: column j ranges over the pool of
+    norm-G[j][j] vectors of Z^k. Rows with equal prefixes so far form
+    blocks, and a column is admissible only if it is nondecreasing inside
+    every block and <= 0 on the rows whose prefix is all zero (always the
+    last block). For a vector u placed in column j, int bitmasks mark the
+    vectors of each later pool t whose inner product with u is G[j][t];
+    they are built the first time u is placed there. The search keeps one
     bitmask of live candidates per later column, intersects them with the
-    masks of the vector it places, and prunes as soon as one is empty.
-    Candidates are taken in pool order, so the output is lexicographic in
-    the column vectors.
+    masks of the vector it places, and prunes when one is empty. Orbit
+    sizes come from a closed formula (`_orbit_size`).
     """
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
@@ -141,40 +218,49 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
                          "definite source form")
     g = G.gram
     m = G.rank
-    if m == 0:
-        return [Embedding(k, [() for _ in range(k)])]
     pools = [enumerate_vectors(k, g[j][j]) for j in range(m)]
     # masks[j][a][t - j - 1]: the vectors of pool t matching pools[j][a]
-    masks = [[tuple(_match_mask(u, pools[t], g[j][t])
-                    for t in range(j + 1, m))
-              for u in pools[j]] for j in range(m - 1)]
+    masks: list[dict[int, tuple[int, ...]]] = [{} for _ in range(m)]
+    classes: list[tuple[Embedding, int]] = []
+    cols: list[tuple[int, ...]] = []
 
-    out: list[Embedding] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def dfs(j: int, live: tuple[int, ...]):
-        # live[i]: the candidates left for column j + i, as a bitmask
-        cand, later = live[0], live[1:]
+    def dfs(j: int, live: tuple[int, ...], same: list[int], zero: int):
+        # live[i]: the candidates left for column j + i, as a bitmask;
+        # same: the rows i whose prefix equals that of row i - 1;
+        # zero: the first row whose prefix is all zero (k if none)
+        if j == m:
+            rows = tuple(zip(*cols)) if cols else ((),) * k
+            classes.append((Embedding(k, rows), _orbit_size(rows)))
+            return
+        pool, cand, later = pools[j], live[0], live[1:]
         while cand:
             low = cand & -cand
             cand ^= low
             a = low.bit_length() - 1
-            chosen.append(pools[j][a])
-            if not later:
-                out.append(Embedding(k, zip(*chosen)))
-            else:
-                nxt = []
-                for x, mask in zip(later, masks[j][a]):
-                    x &= mask
-                    if not x:
-                        break
-                    nxt.append(x)
-                else:
-                    dfs(j + 1, tuple(nxt))
-            chosen.pop()
+            v = pool[a]
+            if (zero < k and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
+                continue
+            nxt = ()
+            if later:
+                row = masks[j].get(a)
+                if row is None:
+                    row = masks[j][a] = tuple(
+                        _match_mask(v, pools[t], g[j][t])
+                        for t in range(j + 1, m))
+                nxt = tuple(x & mask for x, mask in zip(later, row))
+                if not all(nxt):
+                    continue
+            nz = k
+            while nz > zero and v[nz - 1] == 0:
+                nz -= 1
+            cols.append(v)
+            dfs(j + 1, nxt, [i for i in same if v[i - 1] == v[i]], nz)
+            cols.pop()
 
-    dfs(0, tuple((1 << len(pool)) - 1 for pool in pools))
-    return out
+    dfs(0, tuple((1 << len(pool)) - 1 for pool in pools),
+        list(range(1, k)), 0)
+    classes.sort(key=lambda c: c[0].matrix)
+    return EmbeddingSet(k, classes)
 
 
 def _match_mask(u: tuple[int, ...], pool: list[tuple[int, ...]],
@@ -202,8 +288,15 @@ def canonical_form(E: Embedding) -> Embedding:
 
 def orbit_classes(embeddings: Sequence[Embedding]
                   ) -> list[tuple[Embedding, int]]:
-    """Bucket embeddings by canonical form; representatives in sorted
-    (deterministic) order with orbit sizes."""
+    """The Aut(Z^k, Id) classes of `embeddings`: (canonical
+    representative, count) pairs sorted by representative.
+
+    For an `EmbeddingSet` these are its `classes`, with counts equal to
+    the orbit sizes, read off without expanding anything. Any other
+    sequence is bucketed by `canonical_form`.
+    """
+    if isinstance(embeddings, EmbeddingSet):
+        return list(embeddings.classes)
     buckets: dict[Matrix, int] = {}
     for E in embeddings:
         key = canonical_form(E).matrix

@@ -86,6 +86,24 @@ class TestParseCase:
             parse_case(json.dumps(doc))
         assert e.value.code == "SCHEMA"
 
+    @pytest.mark.parametrize("bounds", [
+        {"g4_K": "one"}, {"g4_K": True}, {"g4_K": 1.5}, {"period_n": 1},
+        {"equivariant_unknotting_moves": -1}, {"gsig": "abc"},
+        {"gsig": "1/0"}, {"gsig": [4]}])
+    def test_bad_bounds_schema(self, bounds):
+        doc = json.loads(NINE_40.read_text())
+        doc["bounds"] = bounds
+        with pytest.raises(CaseError) as e:
+            parse_case(json.dumps(doc))
+        assert e.value.code == "SCHEMA"
+
+    def test_fraction_gsig_bounds(self):
+        doc = json.loads(NINE_40.read_text())
+        doc["bounds"] = {"gsig": "-7/2", "period_n": 2}
+        case = parse_case(json.dumps(doc))
+        assert case.bounds_extras.gsig == "-7/2"
+        assert parse_case(serialize_case(case)) == case
+
     def test_odd_implied_sigma_schema(self):
         doc = json.loads(NINE_40.read_text())
         del doc["sigma"]
@@ -265,13 +283,37 @@ class TestBatchCommand:
         del odd["positive_crossings"]
         odd["sigma"] = -1
         (tmp_path / "odd.json").write_text(json.dumps(odd))
+        words = json.loads(NINE_40.read_text())
+        words["bounds"] = {"g4_K": "one"}
+        (tmp_path / "words.json").write_text(json.dumps(words))
         code, out = run(["batch", str(tmp_path), "--json"])
         assert code == 0
         rows = {r["file"]: r for r in map(json.loads, out.splitlines())}
-        assert len(rows) == 3
+        assert len(rows) == 4
         assert rows["bad.json"]["error"].startswith("SCHEMA")
         assert rows["odd.json"]["error"].startswith("SCHEMA")
+        assert rows["words.json"]["error"].startswith("SCHEMA")
         assert rows["9_40.json"]["obstructed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruct", str(NINE_40), "--drop-vertex", "99"],
+    ["obstruct", str(NINE_40), "--drop-vertex", "-1"],
+    ["gsig", str(NINE_40), "--drop-vertex", "99"],
+    ["gsig", str(NINE_40), "--drop-vertex", "-1"],
+    ["gsig", "--period", "1", "--sigma", "0", "--quotient-sigma", "0"],
+    ["bounds", "--period", "1", "--sigma", "-2", "--quotient-sigma", "2"],
+    ["bounds", "--gsig", "abc"],
+    ["bounds", "--unknotting-moves", "-1"],
+    ["embed", "--gram", "{gram}", "--k", "-1"],
+])
+def test_bad_flag_exit_2(argv, tmp_path, capsys):
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps([[2, 0], [0, 2]]))
+    code, _ = run([a.replace("{gram}", str(gram)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error SCHEMA") and "Traceback" not in err
 
 
 def test_import_leaves_numpy_out():

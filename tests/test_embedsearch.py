@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from eqknot import (Embedding, GramLattice, LatticeIsometry,
-                    SignedPermutation, canonical_form, donaldson_obstruction,
-                    enumerate_embeddings, enumerate_vectors,
-                    equivariant_delta, orbit_classes)
+from eqknot import (CheckerboardGraph, Embedding, GramLattice,
+                    LatticeIsometry, SignedPermutation, canonical_form,
+                    donaldson_obstruction, enumerate_embeddings,
+                    enumerate_vectors, equivariant_delta, gl_lattice,
+                    orbit_classes)
 from eqknot.lattice import identity, mat_mul, transpose
 from conftest import (brute_force_embeddings, conjugate,
                       exhaustive_delta_exists, random_unimodular)
@@ -72,10 +73,44 @@ class TestEnumerateEmbeddings:
                  ([[2, 1], [1, 2]], 3), ([[3, 0], [0, 3]], 3),
                  ([[2, 1], [1, 2]], 2)]  # none: prunes to empty
         for gram, k in cases:
-            got = sorted(e.matrix for e in enumerate_embeddings(gram, k))
-            want = sorted(e.matrix for e in
-                          brute_force_embeddings(GramLattice(gram), k))
+            embs = enumerate_embeddings(gram, k)
+            brute = brute_force_embeddings(GramLattice(gram), k)
+            got = sorted(e.matrix for e in embs)
+            want = sorted(e.matrix for e in brute)
             assert got == want
+            # the generated classes against bucketing every brute-force
+            # embedding: representatives and orbit sizes alike
+            assert list(embs.classes) == orbit_classes(brute)
+            assert len(embs) == len(brute)
+
+
+class TestKMinusEdgeLadder:
+    # K6 minus one edge, all weights -1: a rank-5 Gordon-Litherland
+    # lattice. The counts were confirmed with perfbench/oracle.py, which
+    # does not use eqknot; k=6 also matches the earlier enumerator, which
+    # listed all 552,960 embeddings.
+    EDGES = [(u, v, -1) for u in range(6) for v in range(u + 1, 6)
+             if (u, v) != (0, 1)]
+
+    def classes(self, k):
+        G = gl_lattice(CheckerboardGraph(6, self.EDGES))
+        embs = enumerate_embeddings(G, k)
+        for rep, _ in embs.classes:
+            assert canonical_form(rep).matrix == rep.matrix
+            assert rep.gram().gram == G.gram
+        assert orbit_classes(embs) == list(embs.classes)
+        return embs
+
+    def test_k6(self):
+        embs = self.classes(6)
+        assert len(embs.classes) == 12
+        assert sum(size for _, size in embs.classes) == 552960
+        assert len(embs) == 552960
+
+    def test_k7(self):
+        embs = self.classes(7)
+        assert len(embs.classes) == 60
+        assert len(embs) == 34836480
 
 
 class TestCanonicalForm:
