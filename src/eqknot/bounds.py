@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .embedsearch import ObstructionReport
+from .gsignature import gsig_periodic
 
 
 def _ceil(x: Fraction | int) -> int:
@@ -66,9 +67,7 @@ def rh_bound(n: int, g4top_quotient: int, linking_lambda: int) -> Fraction:
 def gsig_periodic_bound(n: int, sigma_K: int, sigma_quotient: int) -> Fraction:
     """g-signature lower bound for an n-periodic knot:
     |n*sigma(quotient) - sigma(K)| / (2(n-1))."""
-    if n < 2:
-        raise ValueError("period must be >= 2")
-    return Fraction(abs(n * sigma_quotient - sigma_K), 2 * (n - 1))
+    return gsig_genus_bound(gsig_periodic(n, sigma_K, sigma_quotient))
 
 
 def gsig_genus_bound(gsig: int | Fraction) -> Fraction:

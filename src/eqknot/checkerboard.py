@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import index
 from typing import Optional, Sequence
 
 from .lattice import (GramLattice, Matrix, identity, mat_eq, mat_mul,
@@ -98,11 +99,18 @@ class SymmetrySpec:
             raise ValueError("strong inversions have order 2")
         if lift_sign not in (1, -1):
             raise ValueError("lift_sign must be +1 or -1 (no auto mode)")
-        p = list(range(len(perm)))
-        for _ in range(order):
-            p = [perm[i] for i in p]
-        if p != list(range(len(perm))):
-            raise ValueError("vertex_perm^order is not the identity")
+        index(order)  # TypeError unless order is an integer
+        # vertex_perm^order is the identity iff every cycle length
+        # divides order
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+                length += 1
+            if length and order % length:
+                raise ValueError("vertex_perm^order is not the identity")
         object.__setattr__(self, "vertex_perm", perm)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "kind", kind)

@@ -18,9 +18,9 @@ data, not exit statuses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -57,7 +57,7 @@ class HypothesisError(CaseError):
     exit_code = EXIT_HYPOTHESIS
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class KnotCase:
     name: str
     graph: CheckerboardGraph
@@ -74,9 +74,7 @@ class KnotCase:
         return None
 
 
-_BOUNDS_FIELDS = ("period_n", "sigma_K", "sigma_quotient", "g4top_quotient",
-                  "linking_lambda", "gsig", "equivariant_unknotting_moves",
-                  "g4_K", "genus_upper")
+_BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(BoundsInput))
 
 
 def parse_case(text: str) -> KnotCase:
@@ -340,30 +338,27 @@ def cmd_gsig(args, out) -> int:
         _check_period(args.period)
         val = gsig_periodic(args.period, args.sigma, args.quotient_sigma)
         doc = {"gsig": _rational(val), "method": "periodic-quotient-formula"}
-    elif args.gram is not None:
-        G, R = _load_gram(args.gram, involution=True)
+    elif args.gram is not None or args.file is not None:
+        doc = {}
+        if args.gram is not None:
+            G, R = _load_gram(args.gram, involution=True)
+        else:
+            case = parse_case(_read(args.file))
+            if case.symmetry.order != 2:
+                raise HypothesisError(
+                    "NOT_INVOLUTION",
+                    "eigenspace path needs an order-2 symmetry")
+            _check_drop_vertex(case, args.drop_vertex)
+            G = gl_lattice(case.graph, args.drop_vertex)
+            R = induced_isometry(case.graph, case.symmetry, args.drop_vertex)
+            doc["name"] = case.name
         try:
             rep = gsig_involution(G, R)
         except ValueError as e:
             raise HypothesisError("NOT_INVOLUTION", str(e)) from e
-        doc = {"gsig": _rational(rep.gsig), "sigma_plus": rep.sigma_plus,
-               "sigma_minus": rep.sigma_minus, "dims": list(rep.dims),
-               "method": "eigenspace-restriction"}
-    elif args.file is not None:
-        case = parse_case(_read(args.file))
-        if case.symmetry.order != 2:
-            raise HypothesisError("NOT_INVOLUTION",
-                                  "eigenspace path needs an order-2 symmetry")
-        _check_drop_vertex(case, args.drop_vertex)
-        G = gl_lattice(case.graph, args.drop_vertex)
-        R = induced_isometry(case.graph, case.symmetry, args.drop_vertex)
-        try:
-            rep = gsig_involution(G, R)
-        except ValueError as e:
-            raise HypothesisError("NOT_INVOLUTION", str(e)) from e
-        doc = {"name": case.name, "gsig": _rational(rep.gsig),
-               "sigma_plus": rep.sigma_plus, "sigma_minus": rep.sigma_minus,
-               "dims": list(rep.dims), "method": "eigenspace-restriction"}
+        doc.update(gsig=_rational(rep.gsig), sigma_plus=rep.sigma_plus,
+                   sigma_minus=rep.sigma_minus, dims=list(rep.dims),
+                   method="eigenspace-restriction")
     else:
         raise CaseError("SCHEMA",
                         "give a case file, --gram, or --period flags")
@@ -424,8 +419,7 @@ def _batch_row(path: Path, sign_mode: str) -> dict:
         rep, sigma = _obstruct_case(case, None, sign_mode)
         binp = case.bounds_extras or BoundsInput()
         if binp.sigma_K is None:
-            binp = BoundsInput(**{**{f: getattr(binp, f) for f in _BOUNDS_FIELDS},
-                                  "sigma_K": sigma})
+            binp = dataclasses.replace(binp, sigma_K=sigma)
         brep = aggregate(binp, obstruction=rep)
         return {
             "name": case.name,

@@ -121,64 +121,21 @@ def enumerate_vectors(k: int, norm: int) -> list[tuple[int, ...]]:
     return out
 
 
-class EmbeddingSet(Sequence[Embedding]):
-    """All embeddings of a lattice into (Z^k, Id), held as their classes
-    under Aut(Z^k, Id).
+class EmbeddingSet:
+    """The embeddings of a lattice into (Z^k, Id), held as their classes
+    under Aut(Z^k, Id) and a count.
 
     `classes` holds (canonical representative, orbit size) pairs sorted
-    by representative; `orbit_classes` returns them for this set. len()
-    is the sum of the orbit sizes. Indexing and iteration expand the
-    orbits on first use and give every embedding once, in lexicographic
-    order in the column vectors.
+    by representative. len() is the sum of the orbit sizes, the number of
+    embeddings; no embedding outside the representatives is built.
     """
 
-    def __init__(self, k: int, classes: Sequence[tuple[Embedding, int]]):
-        self.k = k
+    def __init__(self, classes: Sequence[tuple[Embedding, int]]):
         self.classes = tuple(classes)
         self._len = sum(size for _, size in self.classes)
-        self._all: Optional[list[Embedding]] = None
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, index):
-        return self._expanded()[index]
-
-    def __iter__(self):
-        return iter(self._expanded())
-
-    def _expanded(self) -> list[Embedding]:
-        if self._all is None:
-            mats = [M for rep, _ in self.classes for M in _orbit(rep.matrix)]
-            mats.sort(key=lambda M: tuple(zip(*M)))
-            self._all = [Embedding(self.k, M) for M in mats]
-        return self._all
-
-
-def _orbit(rows: Matrix) -> list[Matrix]:
-    """Every matrix P.rows with P in Aut(Z^k, Id), once each: the distinct
-    arrangements of the rows, with both signs on every nonzero row."""
-    kinds = sorted(set(rows))
-    left = [rows.count(r) for r in kinds]
-    out: list[Matrix] = []
-    cur: list[tuple[int, ...]] = []
-
-    def rec():
-        if len(cur) == len(rows):
-            out.append(tuple(cur))
-            return
-        for i, r in enumerate(kinds):
-            if not left[i]:
-                continue
-            left[i] -= 1
-            for signed in ((r, tuple(-x for x in r)) if any(r) else (r,)):
-                cur.append(signed)
-                rec()
-                cur.pop()
-            left[i] += 1
-
-    rec()
-    return out
 
 
 def _orbit_size(rows: Matrix) -> int:
@@ -194,8 +151,9 @@ def _orbit_size(rows: Matrix) -> int:
 
 def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
                          k: int) -> EmbeddingSet:
-    """All integer matrices E with E^T E = G, G positive definite, as an
-    `EmbeddingSet` of their Aut(Z^k, Id) classes.
+    """The integer matrices E with E^T E = G, G positive definite, as an
+    `EmbeddingSet`: one canonical representative per Aut(Z^k, Id) class,
+    with its orbit size.
 
     Orderly generation: only canonical matrices are built, i.e. those
     whose rows are sorted and each lexicographically at most its negation
@@ -260,7 +218,7 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     dfs(0, tuple((1 << len(pool)) - 1 for pool in pools),
         list(range(1, k)), 0)
     classes.sort(key=lambda c: c[0].matrix)
-    return EmbeddingSet(k, classes)
+    return EmbeddingSet(classes)
 
 
 def _match_mask(u: tuple[int, ...], pool: list[tuple[int, ...]],
@@ -286,23 +244,10 @@ def canonical_form(E: Embedding) -> Embedding:
     return Embedding(E.k, rows)
 
 
-def orbit_classes(embeddings: Sequence[Embedding]
-                  ) -> list[tuple[Embedding, int]]:
-    """The Aut(Z^k, Id) classes of `embeddings`: (canonical
-    representative, count) pairs sorted by representative.
-
-    For an `EmbeddingSet` these are its `classes`, with counts equal to
-    the orbit sizes, read off without expanding anything. Any other
-    sequence is bucketed by `canonical_form`.
-    """
-    if isinstance(embeddings, EmbeddingSet):
-        return list(embeddings.classes)
-    buckets: dict[Matrix, int] = {}
-    for E in embeddings:
-        key = canonical_form(E).matrix
-        buckets[key] = buckets.get(key, 0) + 1
-    return [(Embedding(len(key), key), cnt)
-            for key, cnt in sorted(buckets.items())]
+def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
+    """The Aut(Z^k, Id) classes of an `EmbeddingSet`: (canonical
+    representative, orbit size) pairs sorted by representative."""
+    return list(embeddings.classes)
 
 
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],

@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library code paths
 they check: inertia via the characteristic polynomial and Descartes' rule
 (exact for matrices with all-real spectrum), embeddings via undirected
-brute force over column tuples, and delta via exhaustive search over all
-signed permutations.
+brute force over column tuples, their Aut(Z^k, Id) classes by bucketing
+those with a sign-normalise-and-sort of the rows written here, and delta
+via exhaustive search over all signed permutations.
 """
 
 import itertools
@@ -78,6 +79,17 @@ def brute_force_embeddings(G, k):
             rows = tuple(tuple(col[r] for col in cols) for r in range(k))
             out.append(Embedding(k, rows))
     return out
+
+
+def brute_force_classes(G, k):
+    """(representative, count) pairs, sorted, from bucketing
+    `brute_force_embeddings`: a representative has each row replaced by
+    the smaller of it and its negation, then the rows sorted."""
+    counts = {}
+    for E in brute_force_embeddings(G, k):
+        rows = tuple(sorted(min(r, tuple(-x for x in r)) for r in E.matrix))
+        counts[rows] = counts.get(rows, 0) + 1
+    return [(Embedding(k, rows), n) for rows, n in sorted(counts.items())]
 
 
 def signed_perm_order(perm, signs):

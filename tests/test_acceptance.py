@@ -15,9 +15,9 @@ from eqknot import (BoundsInput, CheckerboardGraph, Embedding, GramLattice,
                     gsig_involution, gsig_periodic_bound, induced_isometry,
                     rh_bound, signature)
 from eqknot.lattice import mat_mul
-from conftest import (brute_force_embeddings, conjugate,
-                      exhaustive_delta_exists, random_connected_graph,
-                      random_unimodular)
+from conftest import (brute_force_classes, brute_force_embeddings,
+                      conjugate, exhaustive_delta_exists,
+                      random_connected_graph, random_unimodular)
 from test_embedsearch import _solve_isometry
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
@@ -140,9 +140,9 @@ def test_criterion_6_oracle_equivalence():
         from eqknot import is_positive_definite
         if not is_positive_definite(G):
             continue
-        got = sorted(e.matrix for e in enumerate_embeddings(G, k))
-        want = sorted(e.matrix for e in brute_force_embeddings(G, k))
-        assert got == want
+        embs = enumerate_embeddings(G, k)
+        assert list(embs.classes) == brute_force_classes(G, k)
+        assert len(embs) == len(brute_force_embeddings(G, k))
         done += 1
     # delta search vs exhaustive signed permutations
     done = 0

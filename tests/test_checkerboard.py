@@ -176,6 +176,13 @@ class TestSymmetrySpec:
         with pytest.raises(ValueError):
             SymmetrySpec([1, 2, 0], 2, "periodic", 1)
 
+    def test_huge_order_checked_by_cycle_lengths(self):
+        # cycle lengths 1 and 2 divide 10**18; a 3-cycle does not
+        s = SymmetrySpec([1, 0, 2], 10**18, "periodic", 1)
+        assert s.order == 10**18
+        with pytest.raises(ValueError):
+            SymmetrySpec([1, 2, 0], 10**18, "periodic", 1)
+
     def test_rejects_auto_sign(self):
         with pytest.raises(ValueError):
             SymmetrySpec([1, 0], 2, "strong_inversion", 0)

@@ -9,8 +9,8 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     orbit_classes)
 from eqknot.lattice import identity, mat_mul, transpose
-from conftest import (brute_force_embeddings, conjugate,
-                      exhaustive_delta_exists, random_unimodular)
+from conftest import (brute_force_classes, brute_force_embeddings,
+                      conjugate, exhaustive_delta_exists, random_unimodular)
 
 
 class TestEnumerateVectors:
@@ -42,13 +42,16 @@ class TestEnumerateVectors:
 
 class TestEnumerateEmbeddings:
     def test_rank_one(self):
+        # (1) and (-1): one class of orbit size 2
         embs = enumerate_embeddings([[1]], 1)
-        assert sorted(e.matrix for e in embs) == [((-1,),), ((1,),)]
+        assert embs.classes == ((Embedding(1, [(-1,)]), 2),)
+        assert len(embs) == 2
 
     def test_two_orthogonal_norm_two(self):
         embs = enumerate_embeddings([[2, 0], [0, 2]], 2)
         assert len(embs) == 8
-        for e in embs:
+        assert list(embs.classes) == brute_force_classes([[2, 0], [0, 2]], 2)
+        for e, _ in embs.classes:
             assert mat_mul(transpose(e.matrix), e.matrix) == ((2, 0), (0, 2))
 
     def test_rejects_indefinite(self):
@@ -57,15 +60,20 @@ class TestEnumerateEmbeddings:
 
     def test_gram_postcondition(self):
         G = GramLattice([[2, 1], [1, 2]])
-        for e in enumerate_embeddings(G, 3):
+        embs = enumerate_embeddings(G, 3)
+        assert embs.classes
+        for e, _ in embs.classes:
             assert e.gram().gram == G.gram
 
-    def test_lexicographic_in_columns(self):
-        # the documented order: strictly increasing in the column vectors
+    def test_representatives_sorted_and_canonical(self):
+        # the documented order: representatives strictly increasing, each
+        # a fixed point of canonical_form
         embs = enumerate_embeddings([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4)
-        cols = [tuple(zip(*e.matrix)) for e in embs]
-        assert len(cols) > 1
-        assert all(a < b for a, b in zip(cols, cols[1:]))
+        reps = [e.matrix for e, _ in embs.classes]
+        assert len(reps) > 1
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        for e, _ in embs.classes:
+            assert canonical_form(e).matrix == e.matrix
 
     def test_brute_force_oracle_small(self, rng):
         # fixed sweep of small forms plus randoms; pruned == unpruned
@@ -74,14 +82,10 @@ class TestEnumerateEmbeddings:
                  ([[2, 1], [1, 2]], 2)]  # none: prunes to empty
         for gram, k in cases:
             embs = enumerate_embeddings(gram, k)
-            brute = brute_force_embeddings(GramLattice(gram), k)
-            got = sorted(e.matrix for e in embs)
-            want = sorted(e.matrix for e in brute)
-            assert got == want
             # the generated classes against bucketing every brute-force
             # embedding: representatives and orbit sizes alike
-            assert list(embs.classes) == orbit_classes(brute)
-            assert len(embs) == len(brute)
+            assert list(embs.classes) == brute_force_classes(gram, k)
+            assert len(embs) == len(brute_force_embeddings(gram, k))
 
 
 class TestKMinusEdgeLadder:
@@ -147,9 +151,11 @@ class TestNine40FigureEmbeddings:
         # the symmetry swaps basis vectors v0<->v2, v1<->v3
         R = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
         E2 = Embedding(6, mat_mul(E1.matrix, R))
-        assert canonical_form(E1).matrix != canonical_form(E2).matrix
-        reps = {c.matrix for c, _ in orbit_classes([E1, E2])}
+        reps = {canonical_form(E1).matrix, canonical_form(E2).matrix}
         assert len(reps) == 2
+        # and they are the two classes of the 9_40 lattice in (Z^6, Id)
+        embs = enumerate_embeddings(E1.gram(), 6)
+        assert {c.matrix for c, _ in embs.classes} == reps
 
 
 class TestOrbitClasses:
