@@ -310,6 +310,9 @@ def _load_gram(path: str, involution: bool = False
                 and all(map(_is_int, row)) for row in M)):
             raise CaseError("SCHEMA",
                             f"'{key}' must be a square integer matrix")
+    if involution and len(raw["involution"]) != len(raw["gram"]):
+        raise CaseError("SCHEMA",
+                        "'involution' and 'gram' must have the same size")
     try:
         G = GramLattice(raw["gram"])
     except ValueError as e:
@@ -331,6 +334,18 @@ def cmd_obstruct(args, out) -> int:
 
 
 def cmd_gsig(args, out) -> int:
+    given = [flag for flag, value in (("a case file", args.file),
+                                      ("--gram", args.gram),
+                                      ("--period", args.period))
+             if value is not None]
+    if len(given) > 1:
+        raise CaseError("SCHEMA", f"give only one of {', '.join(given)}")
+    if args.drop_vertex is not None and args.file is None:
+        raise CaseError("SCHEMA", "--drop-vertex needs a case file")
+    if args.period is None and (args.sigma is not None
+                                or args.quotient_sigma is not None):
+        raise CaseError("SCHEMA",
+                        "--sigma and --quotient-sigma need --period")
     if args.period is not None:
         if args.sigma is None or args.quotient_sigma is None:
             raise CaseError("SCHEMA",

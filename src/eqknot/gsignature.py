@@ -1,8 +1,12 @@
 """g-signatures of symmetric knots.
 
-Order-2 symmetries are handled exactly through eigenspace restrictions of
-the form; n-periodic knots go through the closed quotient-signature
-formula sigma~ = (n*sigma(quotient) - sigma(K)) / (n-1). For strong
+For an order-2 symmetry R of a form G, sigma~ = sigma(G | ker(R-I)) -
+sigma(G | ker(R+I)). No eigenspace basis is needed: R^T G = G R, so
+(I+-R)^T G (I+-R) = 2(G +- G R), and I+-R maps Q^n onto ker(R-+I), so
+sigma(G | ker(R-+I)) = sigma(G +- G R), an integer matrix when G and R
+are. The eigenspace dimensions are (n +- tr R)/2. n-periodic knots go
+through the closed quotient-signature formula
+sigma~ = (n*sigma(quotient) - sigma(K)) / (n-1). For strong
 inversions the input form must come from a butterfly surface; that is a
 caller obligation this module cannot check.
 """
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import (GramLattice, _as_matrix, eigenspace_basis, identity,
-                      mat_eq, mat_mul, restrict_form, signature, transpose)
+from .lattice import (GramLattice, _as_matrix, identity, mat_eq, mat_mul,
+                      signature, transpose)
 
 
 @dataclass(frozen=True)
@@ -28,23 +32,29 @@ class GSignatureReport:
 def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
                     R) -> GSignatureReport:
     """sigma~ = sigma(G | ker(R-I)) - sigma(G | ker(R+I)) for an involution
-    R preserving G."""
+    R preserving G, as sigma(G + G R) - sigma(G - G R)."""
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     Rm = _as_matrix(R)
     n = G.rank
-    if len(Rm) != n:
+    if len(Rm) != n or any(len(row) != n for row in Rm):
         raise ValueError("isometry rank does not match form rank")
     if not mat_eq(mat_mul(Rm, Rm), identity(n)):
         raise ValueError("R is not an involution")
-    if not mat_eq(mat_mul(mat_mul(transpose(Rm), G.gram), Rm), G.gram):
+    GR = mat_mul(G.gram, Rm)
+    if not mat_eq(mat_mul(transpose(Rm), GR), G.gram):
         raise ValueError("R does not preserve the form")
-    plus = eigenspace_basis(Rm, 1)
-    minus = eigenspace_basis(Rm, -1)
-    sp = signature(restrict_form(G, plus)).sigma if plus else 0
-    sm = signature(restrict_form(G, minus)).sigma if minus else 0
+    trace = int(sum(Rm[i][i] for i in range(n)))
+    dp, dm = (n + trace) // 2, (n - trace) // 2
+
+    def sigma_of(eps):  # sigma(G + eps*G R), the eps-eigenspace signature
+        return signature([[g + eps * h for g, h in zip(rg, rh)]
+                          for rg, rh in zip(G.gram, GR)]).sigma
+
+    sp = sigma_of(1) if dp else 0
+    sm = sigma_of(-1) if dm else 0
     return GSignatureReport(sigma_plus=sp, sigma_minus=sm, gsig=sp - sm,
-                            dims=(len(plus), len(minus)))
+                            dims=(dp, dm))
 
 
 def gsig_periodic(n: int, sigma_K: int, sigma_quotient: int) -> Fraction:

@@ -23,12 +23,18 @@ def _freeze(rows) -> Matrix:
 
 
 def mat_mul(A, B) -> Matrix:
-    n, p = len(A), len(B)
-    m = len(B[0]) if p else 0
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(p)) for j in range(m))
-        for i in range(n)
-    )
+    """A·B, built row by row as the sum of a·B[t] over the nonzero
+    entries a = A[i][t], so sparse and signed-permutation factors cost
+    only their nonzero entries."""
+    m = len(B[0]) if B else 0
+    out = []
+    for row_a in A:
+        row = [0] * m
+        for a, row_b in zip(row_a, B):
+            if a:
+                row = [x + a * y for x, y in zip(row, row_b)]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def transpose(A) -> Matrix:

@@ -195,6 +195,17 @@ class TestGsigCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error SCHEMA")
 
+    @pytest.mark.parametrize("involution", [
+        [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    def test_involution_size_mismatch_exit_2(self, tmp_path, involution,
+                                             capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"gram": [[2, 0], [0, 2]],
+                                 "involution": involution}))
+        code, _ = run(["gsig", "--gram", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error SCHEMA")
+
     def test_non_square_involution_exit_2(self, tmp_path):
         p = tmp_path / "g.json"
         p.write_text(json.dumps({"gram": [[2, 0], [0, 2]],
@@ -306,6 +317,19 @@ class TestBatchCommand:
     ["bounds", "--gsig", "abc"],
     ["bounds", "--unknotting-moves", "-1"],
     ["embed", "--gram", "{gram}", "--k", "-1"],
+    ["gsig", str(NINE_40), "--gram", str(NINE_46)],
+    ["gsig", str(NINE_40), "--period", "2", "--sigma", "-4",
+     "--quotient-sigma", "2"],
+    ["gsig", "--gram", str(NINE_46), "--period", "2", "--sigma", "-4",
+     "--quotient-sigma", "2"],
+    ["gsig", str(NINE_40), "--gram", str(NINE_46), "--period", "2"],
+    ["gsig", "--gram", str(NINE_46), "--drop-vertex", "0"],
+    ["gsig", "--period", "2", "--sigma", "-4", "--quotient-sigma", "2",
+     "--drop-vertex", "0"],
+    ["gsig", "--drop-vertex", "0"],
+    ["gsig", str(NINE_40), "--sigma", "-2"],
+    ["gsig", "--gram", str(NINE_46), "--quotient-sigma", "2"],
+    ["gsig", "--sigma", "-4", "--quotient-sigma", "2"],
 ])
 def test_bad_flag_exit_2(argv, tmp_path, capsys):
     gram = tmp_path / "g.json"

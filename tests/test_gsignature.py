@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from eqknot import (GramLattice, gsig_direct_sum, gsig_involution,
-                    gsig_periodic, signature)
+from eqknot import (CheckerboardGraph, GramLattice, SymmetrySpec,
+                    eigenspace_basis, gl_full_form, gl_lattice,
+                    gsig_direct_sum, gsig_involution, gsig_periodic,
+                    induced_isometry, restrict_form, signature)
 from eqknot.lattice import identity, mat_mul, transpose
+from conftest import conjugate
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -124,3 +127,146 @@ class TestDirectSum:
             total = gsig_direct_sum(G1, S1, G2, S2).gsig
             assert total == (gsig_involution(G1, S1).gsig
                              + gsig_involution(G2, S2).gsig)
+
+
+def _block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    M = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[at + i][at:at + len(row)] = row
+        at += len(b)
+    return M
+
+
+def _signed_perm(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    P = [[0] * n for _ in range(n)]
+    for i in range(n):
+        P[perm[i]][i] = rng.choice([1, -1])
+    return P
+
+
+def _inverse(S):
+    """S^-1 over the rationals by Gauss-Jordan, or None if singular."""
+    n = len(S)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(S)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
+        if piv is None:
+            return None
+        A[c], A[piv] = A[piv], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                A[r] = [x - A[r][c] * y for x, y in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def _reflected_cycle(rng, n, fixed_vertex):
+    """C_n with random edge weights that a reflection preserves: the one
+    fixing vertex 0, or the one swapping vertices 0 and 1."""
+    shift = 0 if fixed_vertex else 1
+    perm = [(shift - i) % n for i in range(n)]
+    weights = {}
+    edges = []
+    for i in range(n):
+        key = frozenset((frozenset((i, (i + 1) % n)),
+                         frozenset((perm[i], perm[(i + 1) % n]))))
+        w = weights.setdefault(key, rng.choice([1, -1]))
+        edges.append((i, (i + 1) % n, w))
+    return CheckerboardGraph(n, edges), perm
+
+
+class TestAgainstEigenspaceRestriction:
+    """gsig_involution against the definition: the signatures of G
+    restricted to rational bases of ker(R - I) and ker(R + I), and the
+    lengths of those bases as the dimensions."""
+
+    @staticmethod
+    def _check(G, R):
+        rep = gsig_involution(G, R)
+        plus, minus = eigenspace_basis(R, 1), eigenspace_basis(R, -1)
+        sp = signature(restrict_form(G, plus)).sigma
+        sm = signature(restrict_form(G, minus)).sigma
+        assert (rep.sigma_plus, rep.sigma_minus) == (sp, sm)
+        assert rep.gsig == sp - sm
+        assert rep.dims == (len(plus), len(minus))
+        assert all(type(d) is int for d in rep.dims)
+        return rep
+
+    def test_conjugated_946_sums(self, rng):
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            G = _block_sum([GRAM_946] * n)
+            R = _block_sum([TAU_946] * n)
+            P = _signed_perm(rng, 4 * n)
+            rep = self._check(conjugate(P, G), conjugate(P, R))
+            assert (rep.gsig, rep.dims) == (-4 * n, (2 * n, 2 * n))
+
+    def test_cycles_both_lift_signs(self, rng):
+        for n in range(2, 9):
+            for fixed_vertex in (True, False):
+                g, perm = _reflected_cycle(rng, n, fixed_vertex)
+                for kind in ("periodic", "strong_inversion"):
+                    for lift_sign in (1, -1):
+                        spec = SymmetrySpec(perm, 2, kind, lift_sign)
+                        for v in range(n):
+                            self._check(gl_lattice(g, v),
+                                        induced_isometry(g, spec, v))
+
+    def test_degenerate_form(self, rng):
+        # the full Gordon-Litherland form has (1, ..., 1) in its radical
+        for n in range(2, 9):
+            g, perm = _reflected_cycle(rng, n, n % 2 == 0)
+            for eps in (1, -1):
+                R = [[eps if perm[j] == i else 0 for j in range(n)]
+                     for i in range(n)]
+                self._check(gl_full_form(g), R)
+        zero = _block_sum([GRAM_946, [[0, 0], [0, 0]]])
+        swap = _block_sum([TAU_946, [[0, 1], [1, 0]]])
+        rep = self._check(zero, swap)
+        assert rep.gsig == -4
+
+    def test_plus_minus_identity(self, rng):
+        for _ in range(20):
+            G, _ = _random_pair(rng)
+            n = G.rank
+            rep = self._check(G, identity(n))
+            assert rep.dims == (n, 0) and rep.sigma_minus == 0
+            neg = [[-x for x in row] for row in identity(n)]
+            rep = self._check(G, neg)
+            assert rep.dims == (0, n) and rep.sigma_plus == 0
+
+    def test_rational_involution(self, rng):
+        # R = S E S^-1 and G = S^-T D S^-1 with E, D diagonal: R is a
+        # rational involution preserving G, with eigenvectors the columns
+        # of S, on which G is D
+        done = 0
+        while done < 30:
+            n = rng.randint(1, 4)
+            S = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            Si = _inverse(S)
+            if Si is None:
+                continue
+            E = [rng.choice([1, -1]) for _ in range(n)]
+            D = [rng.randint(-2, 2) for _ in range(n)]
+            R = mat_mul(mat_mul(S, [[E[i] * (i == j) for j in range(n)]
+                                    for i in range(n)]), Si)
+            G = conjugate(Si, [[D[i] * (i == j) for j in range(n)]
+                               for i in range(n)])
+            rep = self._check(G, R)
+            sign = [(d > 0) - (d < 0) for d in D]
+            assert rep.sigma_plus == sum(s for s, e in zip(sign, E) if e == 1)
+            assert rep.sigma_minus == sum(s for s, e in zip(sign, E) if e == -1)
+            assert rep.dims == (E.count(1), E.count(-1))
+            done += 1
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank"):
+            gsig_involution(GRAM_946, identity(3))
+        with pytest.raises(ValueError, match="rank"):
+            gsig_involution([[1, 0], [0, 1]], [[1, 0], [0, 1, 0]])

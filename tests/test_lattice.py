@@ -5,6 +5,7 @@ import pytest
 
 from eqknot import (GramLattice, eigenspace_basis, is_positive_definite,
                     restrict_form, signature)
+from eqknot.lattice import mat_mul
 from conftest import conjugate, inertia_by_descartes, random_unimodular
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
@@ -162,3 +163,52 @@ class TestRestrictForm:
         for i in range(p):
             for j in range(p, p + len(minus)):
                 assert both[i][j] == 0
+
+
+def _dense_mul(A, B, m):
+    """A·B by the definition, for A with len(B) columns and B with m."""
+    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(len(B)))
+                       for j in range(m)) for i in range(len(A)))
+
+
+class TestMatMul:
+    @staticmethod
+    def _random(rng, rows, cols, fractions):
+        def entry():
+            if rng.random() < 0.4:
+                return 0
+            if fractions and rng.random() < 0.5:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return rng.randint(-3, 3)
+        M = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            M[rng.randrange(rows)] = [0] * cols
+        return M
+
+    def test_matches_definition(self, rng):
+        for _ in range(300):
+            k, n, m = (rng.randint(0, 5) for _ in range(3))
+            fractions = rng.random() < 0.5
+            A = self._random(rng, k, n, fractions)
+            B = self._random(rng, n, m, fractions)
+            got = mat_mul(A, B)
+            if n:
+                assert got == _dense_mul(A, B, m)
+            else:
+                assert got == tuple(() for _ in range(k))
+            for row in got:
+                assert len(row) == (m if n else 0)
+                assert all(isinstance(x, (int, Fraction)) for x in row)
+
+    def test_exact_fractions(self):
+        A = [[Fraction(1, 2), 0], [0, 0], [1, Fraction(1, 3)]]
+        B = [[Fraction(1, 3), 1, 0], [3, 0, Fraction(-2, 3)]]
+        got = mat_mul(A, B)
+        assert got == ((Fraction(1, 6), Fraction(1, 2), 0), (0, 0, 0),
+                       (Fraction(4, 3), 1, Fraction(-2, 9)))
+        assert isinstance(got[0][0], Fraction) and got[0][0] != 0
+
+    def test_empty(self):
+        assert mat_mul([], [[1, 2]]) == ()
+        assert mat_mul([[], []], []) == ((), ())
+        assert mat_mul([[0, 0]], [[1, 2, 3], [4, 5, 6]]) == ((0, 0, 0),)
