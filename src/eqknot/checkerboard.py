@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isqrt, lcm
 from operator import index
 from typing import Optional, Sequence
 
@@ -102,15 +103,8 @@ class SymmetrySpec:
         index(order)  # TypeError unless order is an integer
         # vertex_perm^order is the identity iff every cycle length
         # divides order
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            length, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-                length += 1
-            if length and order % length:
-                raise ValueError("vertex_perm^order is not the identity")
+        if any(order % length for length in _cycle_lengths(perm)):
+            raise ValueError("vertex_perm^order is not the identity")
         object.__setattr__(self, "vertex_perm", perm)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "kind", kind)
@@ -126,19 +120,47 @@ class LatticeIsometry:
     order: int
 
     def negated(self) -> "LatticeIsometry":
-        neg = tuple(tuple(-x for x in row) for row in self.matrix)
-        return LatticeIsometry(neg, _matrix_order(neg))
+        neg = tuple([tuple([-x for x in row]) for row in self.matrix])
+        # (-R)^(2*order) = R^(2*order) = I
+        return LatticeIsometry(neg, _matrix_order(neg, 2 * self.order))
 
 
-def _matrix_order(R: Matrix, cap: int = 512) -> int:
-    n = len(R)
-    I = identity(n)
-    P = R
-    for k in range(1, cap + 1):
-        if mat_eq(P, I):
-            return k
-        P = mat_mul(P, R)
-    raise ValueError("matrix order exceeds cap (not finite order?)")
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _mat_pow(R: Matrix, e: int) -> Matrix:
+    """R^e for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = R if out is None else mat_mul(out, R)
+        e >>= 1
+        if not e:
+            return out
+        R = mat_mul(R, R)
+
+
+def _matrix_order(R: Matrix, exponent: int) -> int:
+    """The multiplicative order of R: the least divisor d of exponent
+    with R^d = I. Raises ValueError when R^exponent is not I."""
+    I = identity(len(R))
+    small = [d for d in range(1, isqrt(exponent) + 1) if exponent % d == 0]
+    for d in small + [exponent // d for d in reversed(small)
+                      if d * d != exponent]:
+        if mat_eq(_mat_pow(R, d), I):
+            return d
+    raise ValueError("matrix power is not the identity")
 
 
 def is_automorphism(g: CheckerboardGraph, perm: Sequence[int]) -> bool:
@@ -213,11 +235,13 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
         else:
             col[pos[img]] = eps
         cols.append(col)
-    R = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+    R = tuple([tuple([col[i] for col in cols]) for i in range(m)])
     G = gl_lattice(g, dropped_vertex).gram
     if not mat_eq(mat_mul(mat_mul(transpose(R), G), R), G):
         raise ValueError("induced map does not preserve the form")
-    return LatticeIsometry(R, _matrix_order(R))
+    # R is eps times the action of perm, a homomorphism, so
+    # R^(2L) = I for L the order of perm (the lcm of its cycle lengths)
+    return LatticeIsometry(R, _matrix_order(R, 2 * lcm(*_cycle_lengths(perm))))
 
 
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:

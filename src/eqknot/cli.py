@@ -411,7 +411,7 @@ def cmd_embed(args, out) -> int:
     classes = orbit_classes(embs)
     doc = {
         "k": args.k,
-        "embedding_count": len(embs),
+        "embedding_count": embs.count,
         "class_count": len(classes),
         "classes": [{"representative": [list(r) for r in rep.matrix],
                      "orbit_size": size} for rep, size in classes],

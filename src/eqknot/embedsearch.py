@@ -126,16 +126,19 @@ class EmbeddingSet:
     under Aut(Z^k, Id) and a count.
 
     `classes` holds (canonical representative, orbit size) pairs sorted
-    by representative. len() is the sum of the orbit sizes, the number of
-    embeddings; no embedding outside the representatives is built.
+    by representative. `count` is the sum of the orbit sizes, the number
+    of embeddings; no embedding outside the representatives is built.
+    len() gives the same number but, like every len(), raises
+    OverflowError above sys.maxsize (k!·2^k already passes it at k = 17),
+    so callers read `count`.
     """
 
     def __init__(self, classes: Sequence[tuple[Embedding, int]]):
         self.classes = tuple(classes)
-        self._len = sum(size for _, size in self.classes)
+        self.count = sum(size for _, size in self.classes)
 
     def __len__(self) -> int:
-        return self._len
+        return self.count
 
 
 def _orbit_size(rows: Matrix) -> int:

@@ -1,25 +1,35 @@
 """Exact symmetric bilinear forms: inertia, definiteness, eigenspaces, restrictions.
 
-All arithmetic is over the rationals (fractions.Fraction); no floating point
-is used anywhere. Matrices are immutable tuples of tuples.
+All arithmetic is exact; no floating point is used anywhere. Entries are
+Python ints, or fractions.Fraction where a form or map is rational.
+`signature` eliminates fraction-free on ints (a rational form is first
+scaled to an integer one); eigenspace bases are computed in Fraction.
+Matrices are immutable tuples of tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple, ...]
 
 
+def _clean(x):
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
+# Rows are built as tuple([...]), not tuple(genexpr): a tuple grown from
+# a generator is allocated outside CPython's per-size tuple free lists but
+# freed into them, so in a long-lived process those lists would fill.
 def _freeze(rows) -> Matrix:
-    def clean(x):
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        return x
-    return tuple(tuple(clean(x) for x in row) for row in rows)
+    return tuple([tuple([x if type(x) is int else _clean(x) for x in row])
+                  for row in rows])
 
 
 def mat_mul(A, B) -> Matrix:
@@ -38,11 +48,12 @@ def mat_mul(A, B) -> Matrix:
 
 
 def transpose(A) -> Matrix:
-    return tuple(zip(*A)) if A else ()
+    return tuple([*zip(*A)]) if A else ()
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([1 if i == j else 0 for j in range(n)])
+                  for i in range(n)])
 
 
 def mat_eq(A, B) -> bool:
@@ -95,47 +106,62 @@ class SignatureTriple:
 def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     """Inertia of a symmetric form over the rationals.
 
-    Symmetric Gaussian elimination with exact arithmetic. When every
-    remaining diagonal entry is zero but some off-diagonal entry is not,
-    the row/column-addition trick produces a nonzero pivot; the resulting
-    hyperbolic pair contributes (+1, -1) as it must.
+    Fraction-free (Bareiss) symmetric elimination on Python ints; a form
+    with rational entries is first scaled by the lcm of their denominators,
+    which as a positive scale keeps the inertia. After each pivot d the
+    trailing entries become (d*x - c*y) // prev, where prev is the previous
+    pivot (1 at the start): by Sylvester's identity each entry is then a
+    minor of the form, so the division is exact and the pivot d is the
+    leading principal minor D_k. The rational pivot D_k / D_(k-1) is
+    positive iff d and prev have the same sign.
+
+    A zero diagonal entry is first swapped with a nonzero one further
+    down. When every remaining diagonal entry is zero but some off-diagonal
+    entry is not, the row/column-addition trick produces a nonzero pivot;
+    the resulting hyperbolic pair contributes (+1, -1) as it must. Both
+    are congruences on indices past the pivots, so the minors stay minors.
+    A zero row adds to n_zero and leaves prev unchanged.
     """
     gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
-    n = len(gram)
-    M = [[Fraction(x) for x in row] for row in gram]
+    if all(isinstance(x, int) for row in gram for x in row):
+        M = [list(row) for row in gram]
+    else:
+        rows = [[Fraction(x) for x in row] for row in gram]
+        scale = lcm(*[x.denominator for row in rows for x in row])
+        M = [[int(x * scale) for x in row] for row in rows]
+    # M is the trailing block still to be eliminated; its pivot is M[0][0]
     n_pos = n_neg = n_zero = 0
-    for i in range(n):
-        if M[i][i] == 0:
+    prev = 1
+    while M:
+        top = M[0]
+        if top[0] == 0:
             # prefer a nonzero diagonal entry further down
-            piv = next((j for j in range(i + 1, n) if M[j][j] != 0), None)
+            piv = next((j for j in range(1, len(M)) if M[j][j] != 0), None)
             if piv is not None:
-                M[i], M[piv] = M[piv], M[i]
+                M[0], M[piv] = M[piv], M[0]
                 for row in M:
-                    row[i], row[piv] = row[piv], row[i]
+                    row[0], row[piv] = row[piv], row[0]
             else:
-                off = next((j for j in range(i + 1, n) if M[i][j] != 0), None)
+                off = next((j for j in range(1, len(M)) if top[j] != 0), None)
                 if off is None:
                     n_zero += 1
+                    M = [row[1:] for row in M[1:]]
                     continue
-                # M[i][i] becomes 2*M[i][off] != 0
-                for t in range(n):
-                    M[i][t] += M[off][t]
+                # M[0][0] becomes 2*M[0][off] != 0
+                M[0] = [x + y for x, y in zip(top, M[off])]
                 for row in M:
-                    row[i] += row[off]
-        d = M[i][i]
-        if d > 0:
+                    row[0] += row[off]
+            top = M[0]
+        d = top[0]
+        if (d > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
-        col = [M[r][i] for r in range(i + 1, n)]
-        rowv = [M[i][s] for s in range(i + 1, n)]
-        for a, r in enumerate(range(i + 1, n)):
-            f = col[a] / d
-            if f != 0:
-                for b, s in enumerate(range(i + 1, n)):
-                    M[r][s] -= f * rowv[b]
-            M[r][i] = Fraction(0)
-            M[i][r] = Fraction(0)
+        # M stays symmetric, so the entry c = M[r][0] of row r is top[r]
+        rest = top[1:]
+        M = [[(d * x - c * y) // prev for x, y in zip(row[1:], rest)]
+             for c, row in zip(rest, M[1:])]
+        prev = d
     return SignatureTriple(n_pos, n_neg, n_zero)
 
 

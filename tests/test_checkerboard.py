@@ -97,6 +97,19 @@ class TestQuotientLattice:
             assert is_positive_definite(gl_lattice(g))
 
 
+def star_with_leaf_cycles(cycles):
+    """A star, centre vertex 0, whose leaves 1, 2, ... are permuted in
+    cycles of the given lengths; every edge weight is -1."""
+    n = 1 + sum(cycles)
+    perm = list(range(n))
+    start = 1
+    for length in cycles:
+        for i in range(length):
+            perm[start + i] = start + (i + 1) % length
+        start += length
+    return CheckerboardGraph(n, [(0, v, -1) for v in range(1, n)]), perm
+
+
 class TestInducedIsometry:
     def test_identity_symmetry(self):
         g = nine_40()
@@ -148,6 +161,27 @@ class TestInducedIsometry:
             G = gl_lattice(g).gram
             assert mat_mul(mat_mul(transpose(R.matrix), G), R.matrix) == G
             assert 2 % R.order == 0
+
+    def test_order_840(self):
+        # leaf cycles of lengths 3, 5, 7 and 8: order lcm = 840; with the
+        # centre dropped the lattice is I_23 and R permutes its basis
+        g, perm = star_with_leaf_cycles((3, 5, 7, 8))
+        R = induced_isometry(g, SymmetrySpec(perm, 840, "periodic", 1), 0)
+        assert R.order == 840
+        assert R.negated().order == 840
+
+    @pytest.mark.parametrize("cycles, eps, order, negated_order", [
+        ((3,), -1, 6, 3), ((3,), 1, 3, 6), ((2, 3), -1, 6, 6),
+        ((5,), -1, 10, 5), ((4,), -1, 4, 4), ((1,), -1, 2, 1),
+        ((1,), 1, 1, 2)])
+    def test_exact_order_with_lift_sign(self, cycles, eps, order,
+                                        negated_order):
+        # R = eps * P for P permuting the basis of I_n with order L =
+        # lcm(cycles); -P has order lcm(L, 2), as no power of P is -I
+        g, perm = star_with_leaf_cycles(cycles)
+        R = induced_isometry(g, SymmetrySpec(perm, 60, "periodic", eps), 0)
+        assert R.order == order
+        assert R.negated().order == negated_order
 
 
 class TestKnotSignature:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,25 @@ BAD_GRAM_FILES = {
                                "involution": [[1, 0], [0, 1]]}),
     "missing_gram": json.dumps({"involution": [[1, 0], [0, 1]]}),
 }
+
+
+def star_840_case(centre):
+    """A star with 23 leaves permuted in cycles of lengths 3, 5, 7 and 8
+    (order 840), every edge weight -1 and every crossing positive, so
+    sigma is 0. Dropping the centre vertex leaves the lattice I_23."""
+    leaves = [v for v in range(24) if v != centre]
+    perm = list(range(24))
+    start = 0
+    for length in (3, 5, 7, 8):
+        cycle = leaves[start:start + length]
+        for i, v in enumerate(cycle):
+            perm[v] = cycle[(i + 1) % length]
+        start += length
+    return {"name": "star840", "vertices": 24,
+            "edges": [[centre, v, -1] for v in leaves],
+            "symmetry": {"vertex_perm": perm, "order": 840,
+                         "kind": "periodic", "lift_sign": 1},
+            "positive_crossings": 23, "sigma": 0}
 
 
 def run(argv):
@@ -154,6 +174,14 @@ class TestObstructCommand:
         code, _ = run(["obstruct", str(p)])
         assert code == 3
 
+    def test_symmetry_of_order_840(self, tmp_path):
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps(star_840_case(0)))
+        code, out = run(["obstruct", str(p), "--drop-vertex", "0"])
+        assert code == 0
+        assert "class 0: delta found" in out
+        assert "obstructed: False" in out
+
     def test_removed_threads_flag_exit_2(self):
         with pytest.raises(SystemExit) as e:
             run(["obstruct", str(NINE_40), "--threads", "2"])
@@ -263,6 +291,22 @@ class TestEmbedCommand:
         assert code == 0
         assert json.loads(out)["embedding_count"] == 8
 
+    def test_count_past_sys_maxsize(self, tmp_path):
+        # I_17 in Z^17: one class, the 17!*2^17 signed permutations
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps([[int(i == j) for j in range(17)]
+                                 for i in range(17)]))
+        count = math.factorial(17) << 17
+        assert count > sys.maxsize
+        code, out = run(["embed", "--gram", str(p), "--k", "17", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["embedding_count"] == count
+        assert doc["classes"][0]["orbit_size"] == count
+        code, out = run(["embed", "--gram", str(p), "--k", "17"])
+        assert code == 0
+        assert out.startswith(f"embeddings: {count}   classes: 1")
+
     @pytest.mark.parametrize("name", sorted(BAD_GRAM_FILES))
     def test_bad_gram_file_exit_2(self, tmp_path, name, capsys):
         p = tmp_path / "g.json"
@@ -281,6 +325,15 @@ class TestBatchCommand:
         assert len(rows) == 1
         assert rows[0]["obstructed"] is True
         assert rows[0]["best_lower"] == 2 and rows[0]["best_upper"] == 2
+
+    def test_symmetry_of_order_840(self, tmp_path):
+        # batch drops the last vertex, here the centre
+        (tmp_path / "star.json").write_text(json.dumps(star_840_case(23)))
+        code, out = run(["batch", str(tmp_path), "--json"])
+        assert code == 0
+        row = json.loads(out)
+        assert (row["k"], row["classes"]) == (23, 1)
+        assert row["obstructed"] is False
 
     def test_empty_directory(self, tmp_path):
         code, out = run(["batch", str(tmp_path), "--json"])

@@ -45,11 +45,11 @@ class TestEnumerateEmbeddings:
         # (1) and (-1): one class of orbit size 2
         embs = enumerate_embeddings([[1]], 1)
         assert embs.classes == ((Embedding(1, [(-1,)]), 2),)
-        assert len(embs) == 2
+        assert embs.count == 2
 
     def test_two_orthogonal_norm_two(self):
         embs = enumerate_embeddings([[2, 0], [0, 2]], 2)
-        assert len(embs) == 8
+        assert embs.count == 8
         assert list(embs.classes) == brute_force_classes([[2, 0], [0, 2]], 2)
         for e, _ in embs.classes:
             assert mat_mul(transpose(e.matrix), e.matrix) == ((2, 0), (0, 2))
@@ -85,7 +85,7 @@ class TestEnumerateEmbeddings:
             # the generated classes against bucketing every brute-force
             # embedding: representatives and orbit sizes alike
             assert list(embs.classes) == brute_force_classes(gram, k)
-            assert len(embs) == len(brute_force_embeddings(gram, k))
+            assert embs.count == len(brute_force_embeddings(gram, k))
 
 
 class TestKMinusEdgeLadder:
@@ -109,12 +109,12 @@ class TestKMinusEdgeLadder:
         embs = self.classes(6)
         assert len(embs.classes) == 12
         assert sum(size for _, size in embs.classes) == 552960
-        assert len(embs) == 552960
+        assert embs.count == 552960
 
     def test_k7(self):
         embs = self.classes(7)
         assert len(embs.classes) == 60
-        assert len(embs) == 34836480
+        assert embs.count == 34836480
 
 
 class TestCanonicalForm:

@@ -5,7 +5,7 @@ import pytest
 
 from eqknot import (GramLattice, eigenspace_basis, is_positive_definite,
                     restrict_form, signature)
-from eqknot.lattice import mat_mul
+from eqknot.lattice import _freeze, mat_mul
 from conftest import conjugate, inertia_by_descartes, random_unimodular
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
@@ -52,6 +52,59 @@ class TestSignature:
             s = signature(M)
             assert (s.n_pos, s.n_neg, s.n_zero) == inertia_by_descartes(M)
 
+    @staticmethod
+    def _random_form(rng, kind):
+        n = rng.randint(1, 9)
+        if kind == "low_rank":
+            # B^T D B with B of r < n rows: rank at most r
+            r = rng.randint(0, n - 1)
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+            D = [[rng.choice((-2, -1, 1, 2)) if i == j else 0
+                  for j in range(r)] for i in range(r)]
+            if not r:
+                return [[0] * n for _ in range(n)]
+            return [list(row) for row in conjugate(B, D)]
+        if kind == "hyperbolic":
+            # hyperbolic planes, zeros and a few nonzero squares, mixed by
+            # a unimodular change of basis: zero pivots turn up mid-way
+            D = [[0] * n for _ in range(n)]
+            i = 0
+            while i < n:
+                pick = rng.random()
+                if pick < 0.5 and i + 1 < n:
+                    D[i][i + 1] = D[i + 1][i] = rng.choice((-2, -1, 1, 3))
+                    i += 2
+                    continue
+                D[i][i] = 0 if pick < 0.75 else rng.choice((-3, -1, 2))
+                i += 1
+            U = random_unimodular(rng, n, rng.randint(0, 4))
+            return [list(row) for row in conjugate(U, D)]
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if kind == "fraction":
+                    x = Fraction(rng.randint(-6, 6),
+                                 rng.choice((1, 2, 3, 4, 6)))
+                else:
+                    x = rng.randint(-4, 4) if rng.random() < 0.6 else 0
+                M[i][j] = M[j][i] = x
+            if kind == "zero_diagonal" or (kind == "fraction"
+                                           and rng.random() < 0.5):
+                M[i][i] = 0
+        return M
+
+    @pytest.mark.parametrize("kind", ["dense", "zero_diagonal", "low_rank",
+                                      "hyperbolic", "fraction"])
+    def test_differential_descartes(self, rng, kind):
+        # fraction-free elimination vs char-poly Descartes, n <= 9
+        for _ in range(80):
+            M = self._random_form(rng, kind)
+            s = signature(M)
+            assert (s.n_pos, s.n_neg, s.n_zero) == inertia_by_descartes(M), M
+            if kind == "fraction":
+                # a positive scale keeps the inertia
+                assert signature([[12 * x for x in row] for row in M]) == s
+
     def test_congruence_invariance(self, rng):
         for _ in range(200):
             m = rng.randint(1, 5)
@@ -61,6 +114,14 @@ class TestSignature:
                     M[i][j] = M[j][i] = rng.randint(-5, 5)
             U = random_unimodular(rng, m)
             assert signature(conjugate(U, M)) == signature(M)
+
+
+def test_freeze_entries():
+    M = _freeze([[Fraction(4, 2), Fraction(1, 2)], [True, -3]])
+    assert M == ((2, Fraction(1, 2)), (True, -3))
+    assert type(M[0][0]) is int
+    assert type(M[0][1]) is Fraction
+    assert M[1][0] is True
 
 
 class TestDefiniteness:
