@@ -103,15 +103,22 @@ def enumerate_vectors(k: int, norm: int) -> list[tuple[int, ...]]:
     """All v in Z^k with v.v = norm, in lexicographic order."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k == 0:
+        return [()] if norm == 0 else []
     out: list[tuple[int, ...]] = []
     prefix = [0] * k
+    last = k - 1
 
     def rec(i: int, rem: int):
-        if i == k:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
         b = math.isqrt(rem)
+        if i == last:
+            # the last coordinate is -b or b, and only if rem is a square
+            if b * b == rem:
+                for x in ((-b, b) if b else (0,)):
+                    prefix[i] = x
+                    out.append(tuple(prefix))
+                prefix[i] = 0
+            return
         for x in range(-b, b + 1):
             prefix[i] = x
             rec(i + 1, rem - x * x)
@@ -162,15 +169,16 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     whose rows are sorted and each lexicographically at most its negation
     (the fixed points of `canonical_form`), so each class is found once.
     Depth-first over columns: column j ranges over the pool of
-    norm-G[j][j] vectors of Z^k. Rows with equal prefixes so far form
-    blocks, and a column is admissible only if it is nondecreasing inside
-    every block and <= 0 on the rows whose prefix is all zero (always the
-    last block). For a vector u placed in column j, int bitmasks mark the
-    vectors of each later pool t whose inner product with u is G[j][t];
-    they are built the first time u is placed there. The search keeps one
-    bitmask of live candidates per later column, intersects them with the
-    masks of the vector it places, and prunes when one is empty. Orbit
-    sizes come from a closed formula (`_orbit_size`).
+    norm-G[j][j] vectors of Z^k, built once per distinct norm. Rows with
+    equal prefixes so far form blocks, and a column is admissible only if
+    it is nondecreasing inside every block and <= 0 on the rows whose
+    prefix is all zero (always the last block). For a vector u placed in
+    column j, int bitmasks mark the vectors of each later pool t whose
+    inner product with u is G[j][t]; they are built the first time u is
+    placed there. The search keeps one bitmask of live candidates per
+    later column, intersects them with the masks of the vector it
+    places, and prunes when one is empty. Orbit sizes come from a closed
+    formula (`_orbit_size`).
     """
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
@@ -179,7 +187,9 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
                          "definite source form")
     g = G.gram
     m = G.rank
-    pools = [enumerate_vectors(k, g[j][j]) for j in range(m)]
+    by_norm = {x: enumerate_vectors(k, x)
+               for x in dict.fromkeys(g[j][j] for j in range(m))}
+    pools = [by_norm[g[j][j]] for j in range(m)]
     # masks[j][a][t - j - 1]: the vectors of pool t matching pools[j][a]
     masks: list[dict[int, tuple[int, ...]]] = [{} for _ in range(m)]
     classes: list[tuple[Embedding, int]] = []

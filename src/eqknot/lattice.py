@@ -3,8 +3,11 @@
 All arithmetic is exact; no floating point is used anywhere. Entries are
 Python ints, or fractions.Fraction where a form or map is rational.
 `signature` eliminates fraction-free on ints (a rational form is first
-scaled to an integer one); eigenspace bases are computed in Fraction.
-Matrices are immutable tuples of tuples.
+scaled to an integer one), sparsely: rows are dicts of nonzero entries,
+pivots go in minimum-degree order, and only a pivot's neighbours are
+rewritten, each row keeping the scale at which it last was, so a row
+stored at scale s holds its current entries times s/prev. Eigenspace
+bases are computed in Fraction. Matrices are immutable tuples of tuples.
 """
 
 from __future__ import annotations
@@ -106,63 +109,86 @@ class SignatureTriple:
 def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     """Inertia of a symmetric form over the rationals.
 
-    Fraction-free (Bareiss) symmetric elimination on Python ints; a form
-    with rational entries is first scaled by the lcm of their denominators,
-    which as a positive scale keeps the inertia. After each pivot d the
-    trailing entries become (d*x - c*y) // prev, where prev is the previous
-    pivot (1 at the start): by Sylvester's identity each entry is then a
-    minor of the form, so the division is exact and the pivot d is the
-    leading principal minor D_k. The rational pivot D_k / D_(k-1) is
-    positive iff d and prev have the same sign.
+    Sparse fraction-free (Bareiss) symmetric elimination on Python ints;
+    a rational form is first scaled by the lcm of its denominators, which
+    as a positive scale keeps the inertia. Rows are dicts of their nonzero
+    entries. The next pivot p is the remaining index with a nonzero
+    diagonal and the fewest nonzeros, the lowest index on a tie, so a
+    block sum costs its blocks. Each Bareiss entry is a minor of the form
+    (Sylvester's identity), the pivot d is the leading principal minor
+    D_k, and D_k / D_(k-1) is positive iff d has the sign of prev, the
+    previous d (1 at the start).
 
-    A zero diagonal entry is first swapped with a nonzero one further
-    down. When every remaining diagonal entry is zero but some off-diagonal
-    entry is not, the row/column-addition trick produces a nonzero pivot;
-    the resulting hyperbolic pair contributes (+1, -1) as it must. Both
-    are congruences on indices past the pivots, so the minors stay minors.
-    A zero row adds to n_zero and leaves prev unchanged.
+    Scaling is lazy: only the neighbours of p are rewritten. Row r keeps
+    s = scale[r], the prev in force when it was last rewritten; its
+    current entries are stored*prev/s, exact as they are minors. With y
+    the pivot row at the current scale and c = r[p], the entries of r
+    become (d*x - c*y) // s at scale d, because
+    (d*x*prev/s - c*prev/s*y)/prev = (d*x - c*y)/s; every other row is
+    only multiplied by d/prev, which setting prev = d does for it.
+
+    With no nonzero diagonal left, the first nonzero row p and the row q
+    of its first nonzero entry are brought to the current scale and row
+    and column q are added to p, so the pivot is 2*M[p][q] != 0 and the
+    hyperbolic pair gives (+1, -1). That congruence acts past the pivots,
+    so the entries stay minors. Rows left all zero add to n_zero.
     """
     gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
-    if all(isinstance(x, int) for row in gram for x in row):
-        M = [list(row) for row in gram]
-    else:
-        rows = [[Fraction(x) for x in row] for row in gram]
-        scale = lcm(*[x.denominator for row in rows for x in row])
-        M = [[int(x * scale) for x in row] for row in rows]
-    # M is the trailing block still to be eliminated; its pivot is M[0][0]
-    n_pos = n_neg = n_zero = 0
+    n = len(gram)
+    rows = {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(gram)}
+    if not all(isinstance(x, int)
+               for row in rows.values() for x in row.values()):
+        m = lcm(*[Fraction(x).denominator
+                  for row in rows.values() for x in row.values()])
+        rows = {i: {j: int(Fraction(x) * m) for j, x in row.items()}
+                for i, row in rows.items()}
+    scale = [1] * n
+    n_pos = n_neg = 0
     prev = 1
-    while M:
-        top = M[0]
-        if top[0] == 0:
-            # prefer a nonzero diagonal entry further down
-            piv = next((j for j in range(1, len(M)) if M[j][j] != 0), None)
-            if piv is not None:
-                M[0], M[piv] = M[piv], M[0]
-                for row in M:
-                    row[0], row[piv] = row[piv], row[0]
-            else:
-                off = next((j for j in range(1, len(M)) if top[j] != 0), None)
-                if off is None:
-                    n_zero += 1
-                    M = [row[1:] for row in M[1:]]
-                    continue
-                # M[0][0] becomes 2*M[0][off] != 0
-                M[0] = [x + y for x, y in zip(top, M[off])]
-                for row in M:
-                    row[0] += row[off]
-            top = M[0]
-        d = top[0]
+    while rows:
+        p, fewest = None, n + 1
+        for r, row in rows.items():
+            if r in row and len(row) < fewest:
+                p, fewest = r, len(row)
+        if p is None:
+            p = next((r for r, row in rows.items() if row), None)
+            if p is None:
+                break
+            q = min(rows[p])
+            for r in (p, q):
+                if scale[r] != prev:
+                    s = scale[r]
+                    rows[r] = {t: x * prev // s for t, x in rows[r].items()}
+                    scale[r] = prev
+            y = rows[p]
+            for t, x in rows[q].items():
+                y[t] = y.get(t, 0) + x
+            for t in rows[q]:
+                rows[t][p] = rows[t].get(p, 0) + rows[t][q]
+            for t in [t for t, x in y.items() if not x]:
+                del y[t], rows[t][p]
+        y = rows.pop(p)
+        if scale[p] != prev:
+            s = scale[p]
+            y = {t: x * prev // s for t, x in y.items()}
+        d = y.pop(p)
         if (d > 0) == (prev > 0):
             n_pos += 1
         else:
             n_neg += 1
-        # M stays symmetric, so the entry c = M[r][0] of row r is top[r]
-        rest = top[1:]
-        M = [[(d * x - c * y) // prev for x, y in zip(row[1:], rest)]
-             for c, row in zip(rest, M[1:])]
+        for r in y:
+            row, s = rows[r], scale[r]
+            c = row.pop(p)
+            new = {t: v // s for t, x in row.items()
+                   if (v := d * x - c * y.get(t, 0))}
+            for t, x in y.items():
+                if t not in row:
+                    new[t] = -c * x // s
+            rows[r] = new
+            scale[r] = d
         prev = d
-    return SignatureTriple(n_pos, n_neg, n_zero)
+    return SignatureTriple(n_pos, n_neg, n - n_pos - n_neg)
 
 
 def is_positive_definite(G: GramLattice | Sequence[Sequence]) -> bool:

@@ -2,20 +2,22 @@
 
 The oracles here are deliberately independent of the library code paths
 they check: inertia via the characteristic polynomial and Descartes' rule
-(exact for matrices with all-real spectrum), embeddings via undirected
-brute force over column tuples, their Aut(Z^k, Id) classes by bucketing
-those with a sign-normalise-and-sort of the rows written here, and delta
-via exhaustive search over all signed permutations.
+(exact for matrices with all-real spectrum) and via dense Bareiss
+elimination in index order, embeddings via undirected brute force over
+column tuples, their Aut(Z^k, Id) classes by bucketing those with a
+sign-normalise-and-sort of the rows written here, and delta via
+exhaustive search over all signed permutations.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from eqknot import CheckerboardGraph, Embedding, enumerate_vectors
-from eqknot.lattice import mat_mul, transpose
+from eqknot.lattice import GramLattice, mat_mul, transpose
 
 
 def char_poly(M):
@@ -57,6 +59,55 @@ def inertia_by_descartes(M):
     neg_coeffs = [c if (len(coeffs) - 1 - i) % 2 == 0 else -c
                   for i, c in enumerate(coeffs)]
     n_neg = sign_changes(neg_coeffs)
+    return (n_pos, n_neg, n_zero)
+
+
+def dense_bareiss_inertia(G):
+    """(n_pos, n_neg, n_zero) by dense fraction-free symmetric Bareiss
+    elimination in index order: a zero pivot is swapped with a nonzero
+    diagonal entry further down, or else made nonzero by the
+    row/column-addition trick; trailing entries become
+    (d*x - c*y) // prev."""
+    gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
+    if all(isinstance(x, int) for row in gram for x in row):
+        M = [list(row) for row in gram]
+    else:
+        rows = [[Fraction(x) for x in row] for row in gram]
+        scale = lcm(*[x.denominator for row in rows for x in row])
+        M = [[int(x * scale) for x in row] for row in rows]
+    # M is the trailing block still to be eliminated; its pivot is M[0][0]
+    n_pos = n_neg = n_zero = 0
+    prev = 1
+    while M:
+        top = M[0]
+        if top[0] == 0:
+            # prefer a nonzero diagonal entry further down
+            piv = next((j for j in range(1, len(M)) if M[j][j] != 0), None)
+            if piv is not None:
+                M[0], M[piv] = M[piv], M[0]
+                for row in M:
+                    row[0], row[piv] = row[piv], row[0]
+            else:
+                off = next((j for j in range(1, len(M)) if top[j] != 0), None)
+                if off is None:
+                    n_zero += 1
+                    M = [row[1:] for row in M[1:]]
+                    continue
+                # M[0][0] becomes 2*M[0][off] != 0
+                M[0] = [x + y for x, y in zip(top, M[off])]
+                for row in M:
+                    row[0] += row[off]
+            top = M[0]
+        d = top[0]
+        if (d > 0) == (prev > 0):
+            n_pos += 1
+        else:
+            n_neg += 1
+        # M stays symmetric, so the entry c = M[r][0] of row r is top[r]
+        rest = top[1:]
+        M = [[(d * x - c * y) // prev for x, y in zip(row[1:], rest)]
+             for c, row in zip(rest, M[1:])]
+        prev = d
     return (n_pos, n_neg, n_zero)
 
 
@@ -152,6 +203,18 @@ def random_connected_graph(rng, max_vertices=6, weights=(-1, 1)):
         u, v = rng.sample(range(n), 2)
         edges.append((u, v, rng.choice(weights)))
     return CheckerboardGraph(n, edges)
+
+
+def block_sum(blocks):
+    """The block-diagonal matrix with the given square blocks."""
+    n = sum(len(b) for b in blocks)
+    M = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[at + i][at:at + len(row)] = row
+        at += len(b)
+    return M
 
 
 def conjugate(U, G):

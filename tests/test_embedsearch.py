@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     donaldson_obstruction, enumerate_embeddings,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     orbit_classes)
+from eqknot import embedsearch
 from eqknot.lattice import identity, mat_mul, transpose
 from conftest import (brute_force_classes, brute_force_embeddings,
                       conjugate, exhaustive_delta_exists, random_unimodular)
@@ -38,6 +40,47 @@ class TestEnumerateVectors:
 
     def test_norm_zero(self):
         assert enumerate_vectors(3, 0) == [(0, 0, 0)]
+
+    @staticmethod
+    def _recursive_vectors(k, norm):
+        # the generator before the last-coordinate shortcut: every x in
+        # [-b, b] at every position, a vector kept when nothing remains
+        out, prefix = [], [0] * k
+
+        def rec(i, rem):
+            if i == k:
+                if rem == 0:
+                    out.append(tuple(prefix))
+                return
+            b = math.isqrt(rem)
+            for x in range(-b, b + 1):
+                prefix[i] = x
+                rec(i + 1, rem - x * x)
+            prefix[i] = 0
+
+        rec(0, norm)
+        return out
+
+    def test_same_vectors_same_order_as_recursion(self):
+        for k in range(9):
+            for norm in range(9):
+                assert (enumerate_vectors(k, norm)
+                        == self._recursive_vectors(k, norm)), (k, norm)
+
+    def test_one_pool_per_distinct_norm(self, monkeypatch):
+        calls = []
+
+        def counting(k, norm):
+            calls.append(norm)
+            return enumerate_vectors(k, norm)
+
+        monkeypatch.setattr(embedsearch, "enumerate_vectors", counting)
+        G = [[2, -1, 0], [-1, 3, -1], [0, -1, 2]]
+        embs = enumerate_embeddings(G, 4)
+        assert calls == [2, 3]
+        monkeypatch.undo()
+        assert len(embs.classes) == 1
+        assert list(embs.classes) == brute_force_classes(G, 4)
 
 
 class TestEnumerateEmbeddings:

@@ -7,7 +7,7 @@ from eqknot import (CheckerboardGraph, GramLattice, SymmetrySpec,
                     gsig_direct_sum, gsig_involution, gsig_periodic,
                     induced_isometry, restrict_form, signature)
 from eqknot.lattice import identity, mat_mul, transpose
-from conftest import conjugate
+from conftest import block_sum, conjugate
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -129,17 +129,6 @@ class TestDirectSum:
                              + gsig_involution(G2, S2).gsig)
 
 
-def _block_sum(blocks):
-    n = sum(len(b) for b in blocks)
-    M = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            M[at + i][at:at + len(row)] = row
-        at += len(b)
-    return M
-
-
 def _signed_perm(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -201,10 +190,17 @@ class TestAgainstEigenspaceRestriction:
     def test_conjugated_946_sums(self, rng):
         for _ in range(20):
             n = rng.randint(1, 4)
-            G = _block_sum([GRAM_946] * n)
-            R = _block_sum([TAU_946] * n)
+            G = block_sum([GRAM_946] * n)
+            R = block_sum([TAU_946] * n)
             P = _signed_perm(rng, 4 * n)
             rep = self._check(conjugate(P, G), conjugate(P, R))
+            assert (rep.gsig, rep.dims) == (-4 * n, (2 * n, 2 * n))
+        # ranks 32 and 48, against the known answer only
+        for n in (8, 12):
+            G = block_sum([GRAM_946] * n)
+            R = block_sum([TAU_946] * n)
+            P = _signed_perm(rng, 4 * n)
+            rep = gsig_involution(conjugate(P, G), conjugate(P, R))
             assert (rep.gsig, rep.dims) == (-4 * n, (2 * n, 2 * n))
 
     def test_cycles_both_lift_signs(self, rng):
@@ -226,8 +222,8 @@ class TestAgainstEigenspaceRestriction:
                 R = [[eps if perm[j] == i else 0 for j in range(n)]
                      for i in range(n)]
                 self._check(gl_full_form(g), R)
-        zero = _block_sum([GRAM_946, [[0, 0], [0, 0]]])
-        swap = _block_sum([TAU_946, [[0, 1], [1, 0]]])
+        zero = block_sum([GRAM_946, [[0, 0], [0, 0]]])
+        swap = block_sum([TAU_946, [[0, 1], [1, 0]]])
         rep = self._check(zero, swap)
         assert rep.gsig == -4
 

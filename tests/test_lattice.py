@@ -6,7 +6,8 @@ import pytest
 from eqknot import (GramLattice, eigenspace_basis, is_positive_definite,
                     restrict_form, signature)
 from eqknot.lattice import _freeze, mat_mul
-from conftest import conjugate, inertia_by_descartes, random_unimodular
+from conftest import (block_sum, conjugate, dense_bareiss_inertia,
+                      inertia_by_descartes, random_unimodular)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -114,6 +115,114 @@ class TestSignature:
                     M[i][j] = M[j][i] = rng.randint(-5, 5)
             U = random_unimodular(rng, m)
             assert signature(conjugate(U, M)) == signature(M)
+
+
+def _triple(M):
+    s = signature(M)
+    return (s.n_pos, s.n_neg, s.n_zero)
+
+
+def _relabel(rng, M):
+    """P^T M P for a random signed permutation P."""
+    n = len(M)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return [[signs[i] * signs[j] * M[perm[i]][perm[j]] for j in range(n)]
+            for i in range(n)]
+
+
+def _graph_form(rng, n, edges):
+    """A form supported on a graph: random diagonal, zero included, and a
+    random nonzero weight on each edge."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = rng.choice((0, 0, 1, -1, 2, -2, 3, -5))
+    for a, b in edges:
+        M[a][b] = M[b][a] = rng.choice((1, -1, 2, -3))
+    return M
+
+
+def _small_block(rng):
+    """A random form of rank <= 4: dense, zero-diagonal, a hyperbolic
+    plane or a radical."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        h = rng.choice((1, -2, 3))
+        return [[0, h], [h, 0]]
+    n = rng.randint(1, 4)
+    if kind == 1:
+        return [[0] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = rng.randint(-3, 3)
+        if kind == 2:
+            M[i][i] = 0
+    return M
+
+
+class TestSparseAgainstDense:
+    """signature, whose pivot order and row scales depend on the sparsity
+    pattern, against dense Bareiss in index order, at ranks up to 48."""
+
+    def test_relabelled_paths_cycles_trees(self, rng):
+        for n in (*range(1, 13), 16, 24, 31, 40, 48):
+            for shape in ("path", "cycle", "tree"):
+                if shape == "tree":
+                    edges = [(rng.randrange(v), v) for v in range(1, n)]
+                else:
+                    edges = [(i, i + 1) for i in range(n - 1)]
+                    if shape == "cycle" and n > 2:
+                        edges.append((n - 1, 0))
+                M = _relabel(rng, _graph_form(rng, n, edges))
+                assert _triple(M) == dense_bareiss_inertia(M), M
+
+    def test_relabelled_block_sums(self, rng):
+        for _ in range(150):
+            blocks = []
+            while sum(map(len, blocks)) < rng.randint(1, 48):
+                blocks.append(_small_block(rng))
+            M = _relabel(rng, block_sum(blocks))
+            assert _triple(M) == dense_bareiss_inertia(M), M
+
+    def test_late_pivots_and_late_addition_trick(self, rng):
+        # 1x1 blocks |c| > 1 have the fewest nonzeros and go first, so
+        # prev moves off 1 while the other rows keep scale 1; the small
+        # blocks then pivot on rows never rewritten. In v v^T the first
+        # pivot leaves the other rows of v with zero diagonals at the new
+        # scale, while the rows e (0 in v, zero diagonal) keep scale 1:
+        # the addition trick then pairs rows of two scales
+        for _ in range(200):
+            blocks = [[[rng.choice((2, -3, 5, -7))]]
+                      for _ in range(rng.randint(1, 3))]
+            n, m = rng.randint(2, 4), rng.randint(1, 3)
+            v = [rng.choice((1, -1)) for _ in range(n)] + [0] * m
+            M = [[a * b for b in v] for a in v]
+            for e in range(n, n + m):
+                for t in rng.sample(range(n + m), rng.randint(1, 3)):
+                    if t != e:
+                        M[e][t] = M[t][e] = rng.choice((1, -1, 2))
+            blocks += [M, _small_block(rng)]
+            rng.shuffle(blocks)
+            M = _relabel(rng, block_sum(blocks))
+            assert _triple(M) == dense_bareiss_inertia(M), M
+        M = block_sum([[[3]], [[0, 2], [2, 0]], [[-5]], [[2, 1], [1, 2]]])
+        assert _triple(M) == dense_bareiss_inertia(M) == (4, 2, 0)
+
+    def test_additive_over_direct_sums(self, rng):
+        for _ in range(100):
+            A = _relabel(rng, block_sum([_small_block(rng) for _ in range(3)]))
+            B = _small_block(rng)
+            total = _triple(block_sum([A, B]))
+            assert total == tuple(map(sum, zip(_triple(A), _triple(B))))
+
+    def test_signed_permutation_invariance(self, rng):
+        for n in (5, 12, 30, 48):
+            M = _graph_form(rng, n, [(rng.randrange(v), v)
+                                     for v in range(1, n)])
+            for _ in range(5):
+                assert _triple(_relabel(rng, M)) == _triple(M)
 
 
 def test_freeze_entries():
