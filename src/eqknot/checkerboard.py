@@ -14,8 +14,8 @@ from math import isqrt, lcm
 from operator import index
 from typing import Optional, Sequence
 
-from .lattice import (GramLattice, Matrix, identity, mat_eq, mat_mul,
-                      signature, transpose)
+from .lattice import (GramLattice, Matrix, Rows, _row_mul, _rows,
+                      signature)
 
 Edge = tuple[int, int, int]
 
@@ -122,7 +122,7 @@ class LatticeIsometry:
     def negated(self) -> "LatticeIsometry":
         neg = tuple([tuple([-x for x in row]) for row in self.matrix])
         # (-R)^(2*order) = R^(2*order) = I
-        return LatticeIsometry(neg, _matrix_order(neg, 2 * self.order))
+        return LatticeIsometry(neg, _matrix_order(_rows(neg), 2 * self.order))
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
@@ -139,26 +139,27 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
     return lengths
 
 
-def _mat_pow(R: Matrix, e: int) -> Matrix:
-    """R^e for e >= 1, by repeated squaring."""
+def _mat_pow(R: Rows, e: int) -> Rows:
+    """R^e for e >= 1, by repeated squaring on sparse rows."""
     out = None
     while True:
         if e & 1:
-            out = R if out is None else mat_mul(out, R)
+            out = R if out is None else _row_mul(out, R)
         e >>= 1
         if not e:
             return out
-        R = mat_mul(R, R)
+        R = _row_mul(R, R)
 
 
-def _matrix_order(R: Matrix, exponent: int) -> int:
-    """The multiplicative order of R: the least divisor d of exponent
-    with R^d = I. Raises ValueError when R^exponent is not I."""
-    I = identity(len(R))
+def _matrix_order(R: Rows, exponent: int) -> int:
+    """The multiplicative order of the matrix with sparse rows R: the
+    least divisor d of exponent with R^d = I. Raises ValueError when
+    R^exponent is not I."""
+    I = [{i: 1} for i in range(len(R))]
     small = [d for d in range(1, isqrt(exponent) + 1) if exponent % d == 0]
     for d in small + [exponent // d for d in reversed(small)
                       if d * d != exponent]:
-        if mat_eq(_mat_pow(R, d), I):
+        if _mat_pow(R, d) == I:
             return d
     raise ValueError("matrix power is not the identity")
 
@@ -236,12 +237,14 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
             col[pos[img]] = eps
         cols.append(col)
     R = tuple([tuple([col[i] for col in cols]) for i in range(m)])
-    G = gl_lattice(g, dropped_vertex).gram
-    if not mat_eq(mat_mul(mat_mul(transpose(R), G), R), G):
+    Rr, Gr = _rows(R), _rows(gl_lattice(g, dropped_vertex).gram)
+    # the columns of R are the rows of R^T
+    if _row_mul(_row_mul(_rows(cols), Gr), Rr) != Gr:
         raise ValueError("induced map does not preserve the form")
     # R is eps times the action of perm, a homomorphism, so
     # R^(2L) = I for L the order of perm (the lcm of its cycle lengths)
-    return LatticeIsometry(R, _matrix_order(R, 2 * lcm(*_cycle_lengths(perm))))
+    return LatticeIsometry(R, _matrix_order(
+        Rr, 2 * lcm(*_cycle_lengths(perm))))
 
 
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:

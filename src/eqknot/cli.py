@@ -307,7 +307,7 @@ def _load_gram(path: str, involution: bool = False
         M = raw[key]
         if not (isinstance(M, list) and all(
                 isinstance(row, list) and len(row) == len(M)
-                and all(map(_is_int, row)) for row in M)):
+                and set(map(type, row)) <= {int} for row in M)):
             raise CaseError("SCHEMA",
                             f"'{key}' must be a square integer matrix")
     if involution and len(raw["involution"]) != len(raw["gram"]):

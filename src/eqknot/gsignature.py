@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import (GramLattice, _as_matrix, identity, mat_eq, mat_mul,
-                      signature, transpose)
+from .lattice import (GramLattice, _as_matrix, _inertia, _row_mul, _rows,
+                      transpose)
 
 
 @dataclass(frozen=True)
@@ -32,24 +32,35 @@ class GSignatureReport:
 def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
                     R) -> GSignatureReport:
     """sigma~ = sigma(G | ker(R-I)) - sigma(G | ker(R+I)) for an involution
-    R preserving G, as sigma(G + G R) - sigma(G - G R)."""
+    R preserving G, as sigma(G + G R) - sigma(G - G R). R^2 = I and
+    R^T G R = G are checked on sparse rows, and G +- G R, symmetric once
+    they hold, goes to the elimination as sparse rows."""
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     Rm = _as_matrix(R)
     n = G.rank
     if len(Rm) != n or any(len(row) != n for row in Rm):
         raise ValueError("isometry rank does not match form rank")
-    if not mat_eq(mat_mul(Rm, Rm), identity(n)):
+    Rr, Gr = _rows(Rm), _rows(G.gram)
+    if _row_mul(Rr, Rr) != [{i: 1} for i in range(n)]:
         raise ValueError("R is not an involution")
-    GR = mat_mul(G.gram, Rm)
-    if not mat_eq(mat_mul(transpose(Rm), GR), G.gram):
+    GR = _row_mul(Gr, Rr)
+    if _row_mul(_rows(transpose(Rm)), GR) != Gr:
         raise ValueError("R does not preserve the form")
     trace = int(sum(Rm[i][i] for i in range(n)))
     dp, dm = (n + trace) // 2, (n - trace) // 2
 
     def sigma_of(eps):  # sigma(G + eps*G R), the eps-eigenspace signature
-        return signature([[g + eps * h for g, h in zip(rg, rh)]
-                          for rg, rh in zip(G.gram, GR)]).sigma
+        rows = []
+        for g, h in zip(Gr, GR):
+            row = dict(g)
+            for j, x in h.items():
+                if v := row.get(j, 0) + eps * x:
+                    row[j] = v
+                else:
+                    del row[j]
+            rows.append(row)
+        return _inertia(rows).sigma
 
     sp = sigma_of(1) if dp else 0
     sm = sigma_of(-1) if dm else 0

@@ -7,18 +7,28 @@ scaled to an integer one), sparsely: rows are dicts of nonzero entries,
 pivots go in minimum-degree order, and only a pivot's neighbours are
 rewritten, each row keeping the scale at which it last was, so a row
 stored at scale s holds its current entries times s/prev. Eigenspace
-bases are computed in Fraction. Matrices are immutable tuples of tuples.
+bases are computed in Fraction.
+
+Public matrices are immutable tuples of tuples. Inside the package a
+matrix is also held as sparse rows, a list of {column: entry} dicts of
+its nonzero entries. `_row_mul` multiplies sparse rows. `mat_mul` wraps
+it for dense matrices, and the isometry checks and isometry powers call
+`_row_mul` directly. G +- G R is built on rows and handed to the
+elimination core `_inertia` as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple, ...]
+Rows = list[dict]
+_INT = frozenset({int})
 
 
 def _clean(x):
@@ -31,22 +41,42 @@ def _clean(x):
 # a generator is allocated outside CPython's per-size tuple free lists but
 # freed into them, so in a long-lived process those lists would fill.
 def _freeze(rows) -> Matrix:
-    return tuple([tuple([x if type(x) is int else _clean(x) for x in row])
-                  for row in rows])
+    return tuple([row if set(map(type, row)) <= _INT
+                  else tuple([_clean(x) for x in row])
+                  for row in map(tuple, rows)])
+
+
+def _rows(A) -> Rows:
+    """The sparse rows of A: for each row, {column: entry} over its
+    nonzero entries."""
+    return [dict(compress(enumerate(row), row)) for row in A]
+
+
+def _row_mul(A: Rows, B: Rows) -> Rows:
+    """A·B on sparse rows: row i is the sum of a·B[t] over the entries
+    a = A[i][t], so a product costs only its nonzero terms. Entries that
+    cancel are dropped, so equal matrices have equal rows."""
+    out = []
+    for row_a in A:
+        acc = {}
+        for t, a in row_a.items():
+            for j, b in B[t].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 def mat_mul(A, B) -> Matrix:
-    """A·B, built row by row as the sum of a·B[t] over the nonzero
-    entries a = A[i][t], so sparse and signed-permutation factors cost
-    only their nonzero entries."""
+    """A·B as a tuple of rows, by the sparse row product `_row_mul`, so
+    sparse and signed-permutation factors cost only their nonzero
+    entries."""
     m = len(B[0]) if B else 0
     out = []
-    for row_a in A:
-        row = [0] * m
-        for a, row_b in zip(row_a, B):
-            if a:
-                row = [x + a * y for x, y in zip(row, row_b)]
-        out.append(tuple(row))
+    for row in _row_mul(_rows(A), _rows(B)):
+        dense = [0] * m
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
     return tuple(out)
 
 
@@ -57,13 +87,6 @@ def transpose(A) -> Matrix:
 def identity(n: int) -> Matrix:
     return tuple([tuple([1 if i == j else 0 for j in range(n)])
                   for i in range(n)])
-
-
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(a == b for a, b in zip(ra, rb))
-        for ra, rb in zip(A, B)
-    )
 
 
 @dataclass(frozen=True)
@@ -81,10 +104,8 @@ class GramLattice:
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if gram != tuple(zip(*gram)):
+            raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
     @property
@@ -107,17 +128,25 @@ class SignatureTriple:
 
 
 def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
-    """Inertia of a symmetric form over the rationals.
+    """Inertia of a symmetric form over the rationals. A form that is not
+    a GramLattice is checked by building one; the elimination is
+    `_inertia` on the sparse rows of the form."""
+    gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
+    return _inertia(_rows(gram))
+
+
+def _inertia(rows: Rows) -> SignatureTriple:
+    """Inertia of the symmetric matrix with these sparse rows, which it
+    consumes; nothing checks that they are symmetric.
 
     Sparse fraction-free (Bareiss) symmetric elimination on Python ints;
     a rational form is first scaled by the lcm of its denominators, which
-    as a positive scale keeps the inertia. Rows are dicts of their nonzero
-    entries. The next pivot p is the remaining index with a nonzero
-    diagonal and the fewest nonzeros, the lowest index on a tie, so a
-    block sum costs its blocks. Each Bareiss entry is a minor of the form
-    (Sylvester's identity), the pivot d is the leading principal minor
-    D_k, and D_k / D_(k-1) is positive iff d has the sign of prev, the
-    previous d (1 at the start).
+    as a positive scale keeps the inertia. The next pivot p is the
+    remaining index with a nonzero diagonal and the fewest nonzeros, the
+    lowest index on a tie, so a block sum costs its blocks. Each Bareiss
+    entry is a minor of the form (Sylvester's identity), the pivot d is
+    the leading principal minor D_k, and D_k / D_(k-1) is positive iff d
+    has the sign of prev, the previous d (1 at the start).
 
     Scaling is lazy: only the neighbours of p are rewritten. Row r keeps
     s = scale[r], the prev in force when it was last rewritten; its
@@ -133,10 +162,8 @@ def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     hyperbolic pair gives (+1, -1). That congruence acts past the pivots,
     so the entries stay minors. Rows left all zero add to n_zero.
     """
-    gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
-    n = len(gram)
-    rows = {i: {j: x for j, x in enumerate(row) if x}
-            for i, row in enumerate(gram)}
+    n = len(rows)
+    rows = dict(enumerate(rows))
     if not all(isinstance(x, int)
                for row in rows.values() for x in row.values()):
         m = lcm(*[Fraction(x).denominator
@@ -214,7 +241,7 @@ def eigenspace_basis(R, lam: int) -> list[Vector]:
     n = len(mat)
     if lam not in (1, -1):
         raise ValueError("eigenvalue must be +1 or -1")
-    if not mat_eq(mat_mul(mat, mat), identity(n)):
+    if any(len(row) != n for row in mat) or mat_mul(mat, mat) != identity(n):
         raise ValueError("matrix is not an involution")
     # kernel of (R - lam*I) by RREF
     A = [[Fraction(mat[i][j]) - (lam if i == j else 0) for j in range(n)]

@@ -3,10 +3,11 @@
 The oracles here are deliberately independent of the library code paths
 they check: inertia via the characteristic polynomial and Descartes' rule
 (exact for matrices with all-real spectrum) and via dense Bareiss
-elimination in index order, embeddings via undirected brute force over
-column tuples, their Aut(Z^k, Id) classes by bucketing those with a
-sign-normalise-and-sort of the rows written here, and delta via
-exhaustive search over all signed permutations.
+elimination in index order, matrix products on dense rows, embeddings
+via undirected brute force over column tuples, their Aut(Z^k, Id)
+classes by bucketing those with a sign-normalise-and-sort of the rows
+written here, and delta via exhaustive search over all signed
+permutations.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from math import lcm
 import pytest
 
 from eqknot import CheckerboardGraph, Embedding, enumerate_vectors
-from eqknot.lattice import GramLattice, mat_mul, transpose
+from eqknot.lattice import GramLattice, transpose
 
 
 def char_poly(M):
@@ -111,6 +112,20 @@ def dense_bareiss_inertia(G):
     return (n_pos, n_neg, n_zero)
 
 
+def dense_mat_mul(A, B):
+    """A·B, built row by row as the sum of a·B[t] over the nonzero
+    entries a = A[i][t], on dense rows."""
+    m = len(B[0]) if B else 0
+    out = []
+    for row_a in A:
+        row = [0] * m
+        for a, row_b in zip(row_a, B):
+            if a:
+                row = [x + a * y for x, y in zip(row, row_b)]
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def brute_force_embeddings(G, k):
     """All E with E^T E = G by unpruned brute force over column tuples."""
     gram = G.gram if hasattr(G, "gram") else G
@@ -165,7 +180,7 @@ def exhaustive_delta_exists(E, R, required_order):
     """Existence of P with P.E = E.R and exact order, by scanning all
     2^k * k! signed permutations. Only sensible for k <= 5."""
     k = E.k
-    T = mat_mul(E.matrix, R)
+    T = dense_mat_mul(E.matrix, R)
     for perm in itertools.permutations(range(k)):
         for signs in itertools.product((1, -1), repeat=k):
             if all(tuple(signs[i] * x for x in E.matrix[perm[i]]) == tuple(T[i])
@@ -219,7 +234,7 @@ def block_sum(blocks):
 
 def conjugate(U, G):
     """U^T G U."""
-    return mat_mul(mat_mul(transpose(U), G), U)
+    return dense_mat_mul(dense_mat_mul(transpose(U), G), U)
 
 
 @pytest.fixture

@@ -215,6 +215,18 @@ class TestGsigCommand:
         code, _ = run(["gsig", "--gram", str(p)])
         assert code == 3
 
+    @pytest.mark.parametrize("involution, message", [
+        ([[1, 1], [0, 1]], "R is not an involution"),
+        ([[0, 1], [1, 0]], "R does not preserve the form")])
+    def test_rejected_involution_exit_3(self, tmp_path, involution, message,
+                                        capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"gram": [[1, 0], [0, 2]],
+                                 "involution": involution}))
+        code, out = run(["gsig", "--gram", str(p), "--json"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"error NOT_INVOLUTION: {message}\n"
+
     @pytest.mark.parametrize("name", sorted(BAD_GRAM_FILES))
     def test_bad_gram_file_exit_2(self, tmp_path, name, capsys):
         p = tmp_path / "g.json"
@@ -222,6 +234,19 @@ class TestGsigCommand:
         code, _ = run(["gsig", "--gram", str(p)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error SCHEMA")
+
+    @pytest.mark.parametrize("key", ["gram", "involution"])
+    @pytest.mark.parametrize("entry", ["true", "1.5", "1.0", "false"])
+    def test_bool_or_float_entry_exit_2(self, tmp_path, key, entry, capsys):
+        doc = {"gram": "[[2, 0], [0, 2]]", "involution": "[[1, 0], [0, 1]]"}
+        doc[key] = f"[[1, {entry}], [{entry}, 1]]"
+        p = tmp_path / "g.json"
+        p.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items())
+                     + "}")
+        code, out = run(["gsig", "--gram", str(p), "--json"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error SCHEMA: '{key}' must be a square integer matrix\n")
 
     @pytest.mark.parametrize("involution", [
         [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])

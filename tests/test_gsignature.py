@@ -59,12 +59,35 @@ class TestInvolution:
         assert rep.gsig == -signature(GRAM_946).sigma
 
     def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^R is not an involution$"):
             gsig_involution([[1, 0], [0, 1]], [[1, 1], [0, 1]])
 
     def test_rejects_non_isometry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^R does not preserve the form$"):
             gsig_involution([[1, 0], [0, 2]], [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("G, R, message", [
+        (GRAM_946, [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0],
+                    [0, 0, 0, 1]], "R is not an involution"),
+        ([[1, 0], [0, 1]], [[0, 2], [Fraction(1, 2), 0]],
+         "R does not preserve the form"),
+    ])
+    def test_rejection_messages(self, G, R, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gsig_involution(G, R)
+
+    def test_rational_form_matches_scaled_integer_form(self, rng):
+        # a positive scale keeps every inertia, so G/c with R gives the
+        # report of G with R
+        for _ in range(100):
+            G, S = _random_pair(rng, max_n=6)
+            c = rng.randint(2, 7)
+            scaled = [[Fraction(x, c) for x in row] for row in G.gram]
+            assert gsig_involution(scaled, S) == gsig_involution(G, S)
+        rational = [[Fraction(x, 6) for x in row] for row in GRAM_946]
+        assert gsig_involution(rational, TAU_946) == gsig_involution(
+            GRAM_946, TAU_946)
 
     def test_fractional_entry_not_truncated(self):
         # truncating 1/2 to 0 would make this the identity, an involution

@@ -5,9 +5,10 @@ import pytest
 
 from eqknot import (GramLattice, eigenspace_basis, is_positive_definite,
                     restrict_form, signature)
-from eqknot.lattice import _freeze, mat_mul
+from eqknot.lattice import (_freeze, _row_mul, _rows, identity, mat_mul,
+                            transpose)
 from conftest import (block_sum, conjugate, dense_bareiss_inertia,
-                      inertia_by_descartes, random_unimodular)
+                      dense_mat_mul, inertia_by_descartes, random_unimodular)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -225,6 +226,28 @@ class TestSparseAgainstDense:
                 assert _triple(_relabel(rng, M)) == _triple(M)
 
 
+class TestGramLatticeRejects:
+    @pytest.mark.parametrize("gram", [
+        [[1, 2], [2]], [[1], [2, 3]], [[1, 2, 3], [2, 1, 0]], [[1, 0]],
+        [[1, 0], [0, 1], [0, 0]]])
+    def test_ragged_or_not_square(self, gram):
+        with pytest.raises(ValueError, match="^gram matrix must be square$"):
+            GramLattice(gram)
+
+    @pytest.mark.parametrize("gram", [
+        [[0, 1], [2, 0]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]],
+        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]], [[1, True], [0, 1]]])
+    def test_asymmetric(self, gram):
+        with pytest.raises(ValueError,
+                           match="^gram matrix must be symmetric$"):
+            GramLattice(gram)
+
+    def test_symmetric_across_entry_types(self):
+        G = GramLattice([[1, Fraction(2, 2)], [1, Fraction(1, 2)]])
+        assert G.gram == ((1, 1), (1, Fraction(1, 2)))
+        assert GramLattice([]).gram == ()
+
+
 def test_freeze_entries():
     M = _freeze([[Fraction(4, 2), Fraction(1, 2)], [True, -3]])
     assert M == ((2, Fraction(1, 2)), (True, -3))
@@ -310,6 +333,11 @@ class TestEigenspaces:
         with pytest.raises(ValueError):
             eigenspace_basis([[1, 1], [0, 1]], 1)
 
+    @pytest.mark.parametrize("R", [[[0, 1]], [[1], [0, 1]], [[1, 0]]])
+    def test_rejects_non_square(self, R):
+        with pytest.raises(ValueError, match="^matrix is not an involution$"):
+            eigenspace_basis(R, 1)
+
 
 class TestRestrictForm:
     def test_standard_basis(self):
@@ -382,3 +410,55 @@ class TestMatMul:
         assert mat_mul([], [[1, 2]]) == ()
         assert mat_mul([[], []], []) == ((), ())
         assert mat_mul([[0, 0]], [[1, 2, 3], [4, 5, 6]]) == ((0, 0, 0),)
+        for A, B in (([], [[1, 2]]), ([[], []], []),
+                     ([[0, 0]], [[1, 2, 3], [4, 5, 6]])):
+            assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+    def test_matches_dense_oracle(self, rng):
+        for _ in range(300):
+            k, n, m = (rng.randint(0, 6) for _ in range(3))
+            fractions = rng.random() < 0.5
+            A = self._random(rng, k, n, fractions)
+            B = self._random(rng, n, m, fractions)
+            assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+    @staticmethod
+    def _signed_perm(rng, n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return [[rng.choice([1, -1]) if j == perm[i] else 0
+                 for j in range(n)] for i in range(n)]
+
+    def test_signed_permutations(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            P, Q = self._signed_perm(rng, n), self._signed_perm(rng, n)
+            M = self._random(rng, n, n, rng.random() < 0.5)
+            for A, B in ((P, Q), (P, M), (M, P), (transpose(P), P)):
+                assert mat_mul(A, B) == dense_mat_mul(A, B)
+            assert mat_mul(transpose(P), P) == identity(n)
+
+    def test_dense_column(self, rng):
+        # an induced isometry whose dropped vertex is moved has one
+        # column equal to -eps everywhere
+        for _ in range(100):
+            n = rng.randint(1, 10)
+            R = self._signed_perm(rng, n)
+            c, eps = rng.randrange(n), rng.choice([1, -1])
+            for row in R:
+                row[c] = -eps
+            M = self._random(rng, n, n, rng.random() < 0.5)
+            for A, B in ((R, R), (transpose(R), M), (M, R), (R, M)):
+                assert mat_mul(A, B) == dense_mat_mul(A, B)
+
+    def test_rows_hold_exactly_the_nonzero_entries(self, rng):
+        # the isometry checks compare sparse rows, so a product's rows
+        # must drop the entries that cancel
+        for _ in range(300):
+            k, n, m = (rng.randint(0, 6) for _ in range(3))
+            vals = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
+            A = [[rng.choice(vals) for _ in range(n)] for _ in range(k)]
+            B = [[rng.choice(vals) for _ in range(m)] for _ in range(n)]
+            got = _row_mul(_rows(A), _rows(B))
+            assert got == _rows(dense_mat_mul(A, B))
+            assert all(all(row.values()) for row in got)
