@@ -15,18 +15,18 @@ from .embedsearch import (Embedding, EmbeddingSet, ObstructionReport,
                           equivariant_delta, orbit_classes)
 from .gsignature import (GSignatureReport, gsig_direct_sum, gsig_involution,
                          gsig_periodic)
-from .lattice import (GramLattice, SignatureTriple, eigenspace_basis,
-                      is_positive_definite, restrict_form, signature)
+from .lattice import (GramLattice, SignatureTriple, is_positive_definite,
+                      signature)
 
 __all__ = [
     "BoundsInput", "BoundsReport", "CheckerboardGraph", "Embedding",
     "EmbeddingSet",    "GSignatureReport", "GramLattice", "LatticeIsometry",
     "ObstructionReport", "SignatureTriple", "SignedPermutation",
     "SymmetrySpec", "aggregate", "canonical_form", "crossing_change_upper",
-    "donaldson_obstruction", "eigenspace_basis", "enumerate_embeddings",
+    "donaldson_obstruction", "enumerate_embeddings",
     "enumerate_vectors", "equivariant_delta", "gl_full_form", "gl_lattice",
     "gsig_direct_sum", "gsig_genus_bound", "gsig_involution",
     "gsig_periodic", "gsig_periodic_bound", "induced_isometry",
     "is_automorphism", "is_positive_definite", "knot_signature",
-    "orbit_classes", "restrict_form", "rh_bound", "signature",
+    "orbit_classes", "rh_bound", "signature",
 ]

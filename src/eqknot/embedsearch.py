@@ -168,16 +168,14 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     Orderly generation: only canonical matrices are built, i.e. those
     whose rows are sorted and each lexicographically at most its negation
     (the fixed points of `canonical_form`), so each class is found once.
-    Depth-first over columns: column j ranges over the pool of
-    norm-G[j][j] vectors of Z^k, built once per distinct norm. Rows with
-    equal prefixes so far form blocks, and a column is admissible only if
-    it is nondecreasing inside every block and <= 0 on the rows whose
-    prefix is all zero (always the last block). For a vector u placed in
-    column j, int bitmasks mark the vectors of each later pool t whose
-    inner product with u is G[j][t]; they are built the first time u is
-    placed there. The search keeps one bitmask of live candidates per
-    later column, intersects them with the masks of the vector it
-    places, and prunes when one is empty. Orbit sizes come from a closed
+    Depth-first over columns: column j starts from the norm-G[j][j]
+    vectors of Z^k, built once per distinct norm. Rows with equal
+    prefixes so far form blocks, and a column is admissible only if it
+    is nondecreasing inside every block and <= 0 on the rows whose prefix
+    is all zero (always the last block). The search keeps one list of
+    live candidates per later column, in pool order. Placing v in column
+    j keeps in each later list t only the w with v . w = G[j][t], and the
+    node is pruned when one list is empty. Orbit sizes come from a closed
     formula (`_orbit_size`).
     """
     if not isinstance(G, GramLattice):
@@ -189,38 +187,25 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     m = G.rank
     by_norm = {x: enumerate_vectors(k, x)
                for x in dict.fromkeys(g[j][j] for j in range(m))}
-    pools = [by_norm[g[j][j]] for j in range(m)]
-    # masks[j][a][t - j - 1]: the vectors of pool t matching pools[j][a]
-    masks: list[dict[int, tuple[int, ...]]] = [{} for _ in range(m)]
     classes: list[tuple[Embedding, int]] = []
     cols: list[tuple[int, ...]] = []
 
-    def dfs(j: int, live: tuple[int, ...], same: list[int], zero: int):
-        # live[i]: the candidates left for column j + i, as a bitmask;
+    def dfs(j: int, live: tuple[list[tuple[int, ...]], ...], same: list[int],
+            zero: int):
+        # live[i]: the candidates left for column j + i, in pool order;
         # same: the rows i whose prefix equals that of row i - 1;
         # zero: the first row whose prefix is all zero (k if none)
         if j == m:
             rows = tuple(zip(*cols)) if cols else ((),) * k
             classes.append((Embedding(k, rows), _orbit_size(rows)))
             return
-        pool, cand, later = pools[j], live[0], live[1:]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            a = low.bit_length() - 1
-            v = pool[a]
+        for v in live[0]:
             if (zero < k and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
                 continue
-            nxt = ()
-            if later:
-                row = masks[j].get(a)
-                if row is None:
-                    row = masks[j][a] = tuple(
-                        _match_mask(v, pools[t], g[j][t])
-                        for t in range(j + 1, m))
-                nxt = tuple(x & mask for x, mask in zip(later, row))
-                if not all(nxt):
-                    continue
+            nxt = tuple([w for w in cand if sum(map(mul, v, w)) == product]
+                        for cand, product in zip(live[1:], g[j][j + 1:]))
+            if not all(nxt):
+                continue
             nz = k
             while nz > zero and v[nz - 1] == 0:
                 nz -= 1
@@ -228,17 +213,9 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
             dfs(j + 1, nxt, [i for i in same if v[i - 1] == v[i]], nz)
             cols.pop()
 
-    dfs(0, tuple((1 << len(pool)) - 1 for pool in pools),
-        list(range(1, k)), 0)
+    dfs(0, tuple(by_norm[g[j][j]] for j in range(m)), list(range(1, k)), 0)
     classes.sort(key=lambda c: c[0].matrix)
     return EmbeddingSet(classes)
-
-
-def _match_mask(u: tuple[int, ...], pool: list[tuple[int, ...]],
-                product: int) -> int:
-    """Bit b is set iff u . pool[b] == product."""
-    return sum(1 << b for b, w in enumerate(pool)
-               if sum(map(mul, u, w)) == product)
 
 
 def _normalize_row(row: tuple[int, ...]) -> tuple[int, ...]:

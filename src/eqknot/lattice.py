@@ -1,4 +1,4 @@
-"""Exact symmetric bilinear forms: inertia, definiteness, eigenspaces, restrictions.
+"""Exact symmetric bilinear forms: inertia and definiteness.
 
 All arithmetic is exact; no floating point is used anywhere. Entries are
 Python ints, or fractions.Fraction where a form or map is rational.
@@ -6,8 +6,7 @@ Python ints, or fractions.Fraction where a form or map is rational.
 scaled to an integer one), sparsely: rows are dicts of nonzero entries,
 pivots go in minimum-degree order, and only a pivot's neighbours are
 rewritten, each row keeping the scale at which it last was, so a row
-stored at scale s holds its current entries times s/prev. Eigenspace
-bases are computed in Fraction.
+stored at scale s holds its current entries times s/prev.
 
 Public matrices are immutable tuples of tuples. Inside the package a
 matrix is also held as sparse rows, a list of {column: entry} dicts of
@@ -25,7 +24,6 @@ from itertools import compress
 from math import lcm
 from typing import Sequence
 
-Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple, ...]
 Rows = list[dict]
 _INT = frozenset({int})
@@ -94,7 +92,8 @@ class GramLattice:
     """A symmetric bilinear form on a free module of finite rank.
 
     Entries are integers for forms coming from checkerboard graphs, but
-    rational entries are allowed (restrictions to eigenspaces produce them).
+    rational entries are allowed (restrictions to rational subspaces
+    produce them).
     """
 
     gram: Matrix
@@ -228,63 +227,3 @@ def _as_matrix(R) -> Matrix:
     """The matrix of a LatticeIsometry, or a plain matrix, as a tuple of
     rows. Entries stay exact: nothing is rounded or truncated."""
     return _freeze(R.matrix if hasattr(R, "matrix") else R)
-
-
-def eigenspace_basis(R, lam: int) -> list[Vector]:
-    """Basis of ker(R - lam*Id) over the rationals, for an involution R.
-
-    R may be a LatticeIsometry or a plain square matrix. lam is +1 or -1.
-    The basis is whatever the echelon-form kernel computation produces;
-    consumers (signature of the restricted form) are basis-independent.
-    """
-    mat = _as_matrix(R)
-    n = len(mat)
-    if lam not in (1, -1):
-        raise ValueError("eigenvalue must be +1 or -1")
-    if any(len(row) != n for row in mat) or mat_mul(mat, mat) != identity(n):
-        raise ValueError("matrix is not an involution")
-    # kernel of (R - lam*I) by RREF
-    A = [[Fraction(mat[i][j]) - (lam if i == j else 0) for j in range(n)]
-         for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        d = A[r][c]
-        A[r] = [x / d for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -A[row_idx][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def restrict_form(G: GramLattice | Sequence[Sequence],
-                  B: Sequence[Sequence]) -> GramLattice:
-    """The form pulled back to the span of the vectors in B, i.e. B^T G B."""
-    gram = G.gram if isinstance(G, GramLattice) else _freeze(G)
-    n = len(gram)
-    for v in B:
-        if len(v) != n:
-            raise ValueError("basis vector length does not match rank")
-    m = len(B)
-    out = []
-    for i in range(m):
-        Gv = [sum(gram[r][c] * B[i][c] for c in range(n)) for r in range(n)]
-        out.append(tuple(sum(B[j][r] * Gv[r] for r in range(n)) for j in range(m)))
-    return GramLattice(out)

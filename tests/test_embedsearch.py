@@ -12,7 +12,8 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
 from eqknot import embedsearch
 from eqknot.lattice import identity, mat_mul, transpose
 from conftest import (brute_force_classes, brute_force_embeddings,
-                      conjugate, exhaustive_delta_exists, random_unimodular)
+                      conjugate, dense_bareiss_inertia,
+                      exhaustive_delta_exists, random_unimodular)
 
 
 class TestEnumerateVectors:
@@ -123,7 +124,21 @@ class TestEnumerateEmbeddings:
         cases = [([[1]], 1), ([[2]], 2), ([[1, 0], [0, 1]], 2),
                  ([[2, 1], [1, 2]], 3), ([[3, 0], [0, 3]], 3),
                  ([[2, 1], [1, 2]], 2)]  # none: prunes to empty
-        for gram, k in cases:
+        # seeded randoms G = E^T E, E a k x m matrix over {-1, 0, 1}, into
+        # Z^k or Z^(k+1); kept when positive definite and when brute force
+        # has at most 10^5 column tuples to try
+        randoms = []
+        while len(randoms) < 40:
+            k, m = rng.randint(1, 5), rng.randint(1, 3)
+            E = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(k)]
+            gram = [[sum(row[i] * row[j] for row in E) for j in range(m)]
+                    for i in range(m)]
+            k += rng.randint(0, 1)
+            tuples = math.prod(len(enumerate_vectors(k, gram[j][j]))
+                               for j in range(m))
+            if tuples <= 10 ** 5 and dense_bareiss_inertia(gram) == (m, 0, 0):
+                randoms.append((gram, k))
+        for gram, k in cases + randoms:
             embs = enumerate_embeddings(gram, k)
             # the generated classes against bucketing every brute-force
             # embedding: representatives and orbit sizes alike
@@ -132,15 +147,17 @@ class TestEnumerateEmbeddings:
 
 
 class TestKMinusEdgeLadder:
-    # K6 minus one edge, all weights -1: a rank-5 Gordon-Litherland
+    # K_n minus one edge, all weights -1: a rank n-1 Gordon-Litherland
     # lattice. The counts were confirmed with perfbench/oracle.py, which
-    # does not use eqknot; k=6 also matches the earlier enumerator, which
-    # listed all 552,960 embeddings.
-    EDGES = [(u, v, -1) for u in range(6) for v in range(u + 1, 6)
-             if (u, v) != (0, 1)]
+    # does not use eqknot; K6 at k=6 also matches the earlier enumerator,
+    # which listed all 552,960 embeddings.
+    @staticmethod
+    def edges(n):
+        return [(u, v, -1) for u in range(n) for v in range(u + 1, n)
+                if (u, v) != (0, 1)]
 
-    def classes(self, k):
-        G = gl_lattice(CheckerboardGraph(6, self.EDGES))
+    def classes(self, k, n=6):
+        G = gl_lattice(CheckerboardGraph(n, self.edges(n)))
         embs = enumerate_embeddings(G, k)
         for rep, _ in embs.classes:
             assert canonical_form(rep).matrix == rep.matrix
@@ -158,6 +175,16 @@ class TestKMinusEdgeLadder:
         embs = self.classes(7)
         assert len(embs.classes) == 60
         assert embs.count == 34836480
+
+    @pytest.mark.parametrize("n, k, classes, count", [
+        (7, 8, 0, 0),
+        (8, 9, 1575, 141668352000),
+    ])
+    def test_larger(self, n, k, classes, count):
+        embs = self.classes(k, n)
+        assert len(embs.classes) == classes
+        assert sum(size for _, size in embs.classes) == count
+        assert embs.count == count
 
 
 class TestCanonicalForm:

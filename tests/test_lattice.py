@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from eqknot import (GramLattice, eigenspace_basis, is_positive_definite,
-                    restrict_form, signature)
+from eqknot import GramLattice, is_positive_definite, signature
 from eqknot.lattice import (_freeze, _row_mul, _rows, identity, mat_mul,
                             transpose)
 from conftest import (block_sum, conjugate, dense_bareiss_inertia,
-                      dense_mat_mul, inertia_by_descartes, random_unimodular)
+                      dense_mat_mul, eigenspace_basis, inertia_by_descartes,
+                      random_unimodular, restrict_form)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
