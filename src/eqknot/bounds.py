@@ -6,9 +6,9 @@ the report layer, since the genus itself is an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .embedsearch import ObstructionReport
 from .gsignature import gsig_periodic

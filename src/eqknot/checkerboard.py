@@ -9,7 +9,7 @@ weights are always derived as minus the sum of incident edge weights.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import index
 from typing import Optional, Sequence
@@ -64,11 +64,6 @@ class CheckerboardGraph:
     def vertex_weight(self, v: int) -> int:
         """w(v) = -(sum of weights of edges incident to v)."""
         return -sum(w for a, b, w in self.edges if v in (a, b))
-
-    def edge_multiset(self, u: int, v: int) -> Counter:
-        key = (min(u, v), max(u, v))
-        return Counter(w for a, b, w in self.edges
-                       if (min(a, b), max(a, b)) == key)
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,18 @@ def gl_lattice(g: CheckerboardGraph,
                dropped_vertex: Optional[int] = None) -> GramLattice:
     """The Gordon-Litherland lattice on H_1 of the checkerboard surface:
     the full form with one vertex's row and column deleted. Rank n-1."""
-    n = g.vertex_count
+    keep = _kept_vertices(g.vertex_count, dropped_vertex)
+    full = gl_full_form(g).gram
+    return GramLattice([[full[i][j] for j in keep] for i in keep])
+
+
+def _kept_vertices(n: int, dropped_vertex: Optional[int]) -> list[int]:
+    """The vertices other than the dropped one, by default the last."""
     if dropped_vertex is None:
         dropped_vertex = n - 1
     if not (0 <= dropped_vertex < n):
         raise ValueError("dropped_vertex out of range")
-    full = gl_full_form(g).gram
-    keep = [i for i in range(n) if i != dropped_vertex]
-    return GramLattice([[full[i][j] for j in keep] for i in keep])
+    return [i for i in range(n) if i != dropped_vertex]
 
 
 def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
@@ -213,38 +212,36 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
     dropped class rewritten as minus the sum of the kept generators. The
     reported order is the exact multiplicative order of the matrix, which
     for lift_sign = -1 can differ from the symmetry's order.
+
+    R^T G R = G holds without a check: perm preserves the weighted edges,
+    so it preserves the full form M of `gl_full_form`; v_1 + ... + v_n
+    lies in the radical of M, so the map eps*perm of the quotient by it
+    preserves the form that M induces there, and G is that form's matrix
+    in the basis of kept generators.
     """
-    n = g.vertex_count
-    if dropped_vertex is None:
-        dropped_vertex = n - 1
     perm = s.vertex_perm
-    if len(perm) != n:
+    if len(perm) != g.vertex_count:
         raise ValueError("permutation length does not match vertex count")
     if not is_automorphism(g, perm):
         raise ValueError("vertex_perm is not a weighted-graph automorphism")
-    keep = [i for i in range(n) if i != dropped_vertex]
+    keep = _kept_vertices(g.vertex_count, dropped_vertex)
     pos = {v: idx for idx, v in enumerate(keep)}
-    m = n - 1
+    m = len(keep)
     eps = s.lift_sign
     cols = []
     for i in keep:
         img = perm[i]
-        col = [0] * m
-        if img == dropped_vertex:
-            for j in range(m):
-                col[j] = -eps
-        else:
+        if img in pos:
+            col = [0] * m
             col[pos[img]] = eps
+        else:  # the dropped vertex
+            col = [-eps] * m
         cols.append(col)
     R = tuple([tuple([col[i] for col in cols]) for i in range(m)])
-    Rr, Gr = _rows(R), _rows(gl_lattice(g, dropped_vertex).gram)
-    # the columns of R are the rows of R^T
-    if _row_mul(_row_mul(_rows(cols), Gr), Rr) != Gr:
-        raise ValueError("induced map does not preserve the form")
     # R is eps times the action of perm, a homomorphism, so
     # R^(2L) = I for L the order of perm (the lcm of its cycle lengths)
     return LatticeIsometry(R, _matrix_order(
-        Rr, 2 * lcm(*_cycle_lengths(perm))))
+        _rows(R), 2 * lcm(*_cycle_lengths(perm))))
 
 
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:

@@ -59,19 +59,15 @@ class HypothesisError(CaseError):
 
 @dataclasses.dataclass(frozen=True)
 class KnotCase:
+    """One validated case file. sigma_K is the given sigma, else the one
+    positive_crossings implies, else None."""
+
     name: str
     graph: CheckerboardGraph
     symmetry: SymmetrySpec
     positive_crossings: Optional[int] = None
     sigma_K: Optional[int] = None
     bounds_extras: Optional[BoundsInput] = None
-
-    def sigma(self) -> Optional[int]:
-        if self.sigma_K is not None:
-            return self.sigma_K
-        if self.positive_crossings is not None:
-            return knot_signature(self.graph, self.positive_crossings)
-        return None
 
 
 _BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(BoundsInput))
@@ -132,6 +128,7 @@ def parse_case(text: str) -> KnotCase:
         if implied % 2:
             raise CaseError("SCHEMA", "'positive_crossings' gives an odd "
                             "signature, so the diagram is not a knot")
+        sig = implied
     extras = None
     if "bounds" in doc:
         b = doc["bounds"]
@@ -246,7 +243,7 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
             "NOT_DEFINITE",
             "Gordon-Litherland lattice is not positive definite; the "
             "embedding theorem does not apply")
-    sigma = case.sigma()
+    sigma = case.sigma_K
     if sigma is None:
         raise CaseError("MISSING_SIGMA",
                         "need 'sigma' or 'positive_crossings' to set k")

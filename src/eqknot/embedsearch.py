@@ -326,10 +326,11 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     classes = orbit_classes(embeddings)
     per_class = []
     any_delta = False
+    minus_R = R.negated().matrix if sign_mode == "both" else None
     for rep, _size in classes:
         delta = equivariant_delta(rep, R, order)
-        if delta is None and sign_mode == "both":
-            delta = equivariant_delta(rep, R.negated().matrix, order)
+        if delta is None and minus_R is not None:
+            delta = equivariant_delta(rep, minus_R, order)
         per_class.append((rep, delta))
         any_delta = any_delta or delta is not None
     obstructed = not any_delta

@@ -4,7 +4,7 @@ from eqknot import (CheckerboardGraph, SymmetrySpec, gl_full_form, gl_lattice,
                     induced_isometry, is_automorphism, is_positive_definite,
                     knot_signature, signature)
 from eqknot.lattice import mat_mul, transpose
-from conftest import random_connected_graph
+from conftest import dense_mat_mul, random_connected_graph
 
 # 9_40 checkerboard graph: K5 minus the edge between the two weight-3
 # vertices, every edge weight -1. Reconstructed from the embedding vectors
@@ -110,6 +110,50 @@ def star_with_leaf_cycles(cycles):
     return CheckerboardGraph(n, [(0, v, -1) for v in range(1, n)]), perm
 
 
+def cycle_graph(n, weights=(-1,)):
+    """The n-cycle 0 - 1 - ... - (n-1) - 0, edge (i, i+1) of weight
+    weights[i % len(weights)]."""
+    return CheckerboardGraph(n, [(i, (i + 1) % n, weights[i % len(weights)])
+                                 for i in range(n)])
+
+
+def wheel_graph(n):
+    """Hub 0 joined to every vertex of the rim cycle 1, ..., n; every edge
+    weight -1."""
+    return CheckerboardGraph(n + 1, [(0, i, -1) for i in range(1, n + 1)]
+                             + [(i, i % n + 1, -1) for i in range(1, n + 1)])
+
+
+def complete_graph(n):
+    return CheckerboardGraph(n, [(u, v, -1) for u in range(n)
+                                 for v in range(u + 1, n)])
+
+
+def isometry_cases():
+    """(id, graph, vertex permutation) triples, each permutation a
+    weighted-graph automorphism."""
+    yield "9_40", nine_40(), [2, 3, 0, 1, 4]
+    for n in (3, 4, 5, 6):
+        yield f"C{n}-rotation", cycle_graph(n), [(i + 1) % n for i in range(n)]
+        yield f"C{n}-reflection", cycle_graph(n), [-i % n for i in range(n)]
+    # alternating weights: rotation by two and a reflection swapping 0, 1
+    yield "C6+-rotation2", cycle_graph(6, (-1, 1)), [(i + 2) % 6
+                                                    for i in range(6)]
+    yield "C4+-reflection", cycle_graph(4, (-1, 1)), [(1 - i) % 4
+                                                     for i in range(4)]
+    for n in (3, 4, 5):
+        rim = list(range(1, n + 1))
+        yield f"W{n}-rotation", wheel_graph(n), [0] + rim[1:] + rim[:1]
+        yield f"W{n}-reflection", wheel_graph(n), [0] + rim[::-1]
+    for cycles in ((2,), (3,), (2, 3), (1, 2), (4,)):
+        g, perm = star_with_leaf_cycles(cycles)
+        yield f"star{'-'.join(map(str, cycles))}", g, perm
+    for n in (3, 4, 5):
+        yield f"K{n}-cycle", complete_graph(n), [(i + 1) % n for i in range(n)]
+        yield f"K{n}-swap", complete_graph(n), [1, 0] + list(range(2, n))
+    yield "K5-3x2", complete_graph(5), [1, 2, 0, 4, 3]
+
+
 class TestInducedIsometry:
     def test_identity_symmetry(self):
         g = nine_40()
@@ -143,6 +187,12 @@ class TestInducedIsometry:
         s = SymmetrySpec([1, 0, 2], 2, "strong_inversion", 1)
         with pytest.raises(ValueError):
             induced_isometry(g, s)
+
+    @pytest.mark.parametrize("dropped", [-1, 5])
+    def test_rejects_dropped_vertex_out_of_range(self, dropped):
+        s = SymmetrySpec([2, 3, 0, 1, 4], 2, "strong_inversion", 1)
+        with pytest.raises(ValueError, match="dropped_vertex out of range"):
+            induced_isometry(nine_40(), s, dropped)
 
     def test_isometry_random(self, rng):
         # automorphism-induced maps with lift sign +1 always preserve
@@ -182,6 +232,28 @@ class TestInducedIsometry:
         R = induced_isometry(g, SymmetrySpec(perm, 60, "periodic", eps), 0)
         assert R.order == order
         assert R.negated().order == negated_order
+
+
+    @pytest.mark.parametrize("case", list(isometry_cases()),
+                             ids=lambda case: case[0])
+    def test_preserves_form_with_finite_order(self, case):
+        # R^T G R = G and R^order = I, by dense products, for every
+        # dropped vertex and both lift signs
+        _, g, perm = case
+        assert is_automorphism(g, perm)
+        m = g.vertex_count - 1
+        I = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        for v in range(g.vertex_count):
+            G = gl_lattice(g, v).gram
+            for eps in (1, -1):
+                R = induced_isometry(
+                    g, SymmetrySpec(perm, 60, "periodic", eps), v)
+                assert dense_mat_mul(dense_mat_mul(transpose(R.matrix), G),
+                                     R.matrix) == G
+                power = R.matrix
+                for _ in range(R.order - 1):
+                    power = dense_mat_mul(power, R.matrix)
+                assert power == I
 
 
 class TestKnotSignature:

@@ -57,11 +57,32 @@ class TestParseCase:
         assert case.name == "9_40"
         assert case.graph.vertex_count == 5
         assert len(case.graph.edges) == 9
-        assert case.sigma() == -2
+        assert case.sigma_K == -2
 
     def test_round_trip(self):
         case = parse_case(NINE_40.read_text())
         assert parse_case(serialize_case(case)) == case
+
+    @pytest.mark.parametrize("doc", [json.loads(NINE_40.read_text()),
+                                     star_840_case(23)],
+                             ids=["9_40", "star840"])
+    def test_crossings_only_twin(self, tmp_path, doc):
+        # a file without 'sigma' uses the one its positive_crossings
+        # imply, which its twin states: same case, same outputs
+        bare = dict(doc)
+        del bare["sigma"]
+        outputs = []
+        for name, d in (("given", doc), ("implied", bare)):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "case.json"
+            path.write_text(json.dumps(d))
+            assert parse_case(path.read_text()).sigma_K == doc["sigma"]
+            outputs.append([run(argv + flags)
+                            for argv in (["obstruct", str(path)],
+                                         ["batch", str(tmp_path / name)])
+                            for flags in ([], ["--json"])])
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 for code, _ in outputs[0])
 
     def test_loop_edge_code(self):
         doc = {"name": "x", "vertices": 2,
