@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import lcm
 from operator import index
 from typing import Optional, Sequence
 
-from .lattice import (GramLattice, Matrix, Rows, _row_mul, _rows,
-                      signature)
+from .lattice import GramLattice, Matrix, signature
 
 Edge = tuple[int, int, int]
 
@@ -37,7 +36,7 @@ class CheckerboardGraph:
                 raise ValueError(f"edge endpoint out of range: {e}")
             if u == v:
                 raise ValueError(f"loop edge not allowed: {e}")
-            if w not in (1, -1):
+            if type(w) is not int or w not in (1, -1):
                 raise ValueError(f"edge weight must be +1 or -1: {e}")
             frozen.append((u, v, w))
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -48,6 +47,8 @@ class CheckerboardGraph:
 
     def _connected(self) -> bool:
         n = self.vertex_count
+        if len(self.edges) < n - 1:  # too few edges to span n vertices
+            return False
         adj = [[] for _ in range(n)]
         for u, v, _ in self.edges:
             adj[u].append(v)
@@ -93,7 +94,7 @@ class SymmetrySpec:
             raise ValueError("symmetry order must be >= 2")
         if kind == "strong_inversion" and order != 2:
             raise ValueError("strong inversions have order 2")
-        if lift_sign not in (1, -1):
+        if type(lift_sign) is not int or lift_sign not in (1, -1):
             raise ValueError("lift_sign must be +1 or -1 (no auto mode)")
         index(order)  # TypeError unless order is an integer
         # vertex_perm^order is the identity iff every cycle length
@@ -114,11 +115,6 @@ class LatticeIsometry:
     matrix: Matrix
     order: int
 
-    def negated(self) -> "LatticeIsometry":
-        neg = tuple([tuple([-x for x in row]) for row in self.matrix])
-        # (-R)^(2*order) = R^(2*order) = I
-        return LatticeIsometry(neg, _matrix_order(_rows(neg), 2 * self.order))
-
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
     seen = [False] * len(perm)
@@ -132,31 +128,6 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
         if length:
             lengths.append(length)
     return lengths
-
-
-def _mat_pow(R: Rows, e: int) -> Rows:
-    """R^e for e >= 1, by repeated squaring on sparse rows."""
-    out = None
-    while True:
-        if e & 1:
-            out = R if out is None else _row_mul(out, R)
-        e >>= 1
-        if not e:
-            return out
-        R = _row_mul(R, R)
-
-
-def _matrix_order(R: Rows, exponent: int) -> int:
-    """The multiplicative order of the matrix with sparse rows R: the
-    least divisor d of exponent with R^d = I. Raises ValueError when
-    R^exponent is not I."""
-    I = [{i: 1} for i in range(len(R))]
-    small = [d for d in range(1, isqrt(exponent) + 1) if exponent % d == 0]
-    for d in small + [exponent // d for d in reversed(small)
-                      if d * d != exponent]:
-        if _mat_pow(R, d) == I:
-            return d
-    raise ValueError("matrix power is not the identity")
 
 
 def is_automorphism(g: CheckerboardGraph, perm: Sequence[int]) -> bool:
@@ -213,6 +184,16 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
     reported order is the exact multiplicative order of the matrix, which
     for lift_sign = -1 can differ from the symmetry's order.
 
+    That order is read off perm, with no matrix powers. R = eps*rho(perm)
+    for rho the action on Z^n/<v_1 + ... + v_n>. When m = n-1 >= 2, a
+    vector with at most two nonzero coordinates lies in that span only if
+    it is 0, so rho(q) = I (each v_q(i) - v_i in the span) only for
+    q = id, and rho(q) = -I (each v_q(i) + v_i in it) never: rho is
+    faithful and no power of perm acts as -I. Hence R^d = I iff L | d and
+    eps^d = 1, for L the lcm of perm's cycle lengths: the order is L, or
+    2L when eps = -1 and L is odd. When m <= 1, R is () or ((+-1,),), of
+    order 1 or 2.
+
     R^T G R = G holds without a check: perm preserves the weighted edges,
     so it preserves the full form M of `gl_full_form`; v_1 + ... + v_n
     lies in the radical of M, so the map eps*perm of the quotient by it
@@ -238,10 +219,10 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
             col = [-eps] * m
         cols.append(col)
     R = tuple([tuple([col[i] for col in cols]) for i in range(m)])
-    # R is eps times the action of perm, a homomorphism, so
-    # R^(2L) = I for L the order of perm (the lcm of its cycle lengths)
-    return LatticeIsometry(R, _matrix_order(
-        _rows(R), 2 * lcm(*_cycle_lengths(perm))))
+    if m <= 1:
+        return LatticeIsometry(R, 2 if R == ((-1,),) else 1)
+    L = lcm(*_cycle_lengths(perm))
+    return LatticeIsometry(R, L if eps == 1 or L % 2 == 0 else 2 * L)
 
 
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:

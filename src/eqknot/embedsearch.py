@@ -326,7 +326,8 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     classes = orbit_classes(embeddings)
     per_class = []
     any_delta = False
-    minus_R = R.negated().matrix if sign_mode == "both" else None
+    minus_R = (tuple([tuple([-x for x in row]) for row in R.matrix])
+               if sign_mode == "both" else None)
     for rep, _size in classes:
         delta = equivariant_delta(rep, R, order)
         if delta is None and minus_R is not None:

@@ -83,16 +83,11 @@ def gsig_direct_sum(G1, R1, G2, R2) -> GSignatureReport:
         G1 = GramLattice(G1)
     if not isinstance(G2, GramLattice):
         G2 = GramLattice(G2)
-    R1m, R2m = _as_matrix(R1), _as_matrix(R2)
     n1, n2 = G1.rank, G2.rank
-    G = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    R = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            G[i][j] = G1.gram[i][j]
-            R[i][j] = R1m[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            G[n1 + i][n1 + j] = G2.gram[i][j]
-            R[n1 + i][n1 + j] = R2m[i][j]
-    return gsig_involution(GramLattice(G), R)
+
+    def block_sum(A, B):  # whole rows, so a mis-sized R fails the rank check
+        return ([[*row, *[0] * n2] for row in A]
+                + [[*[0] * n1, *row] for row in B])
+
+    return gsig_involution(GramLattice(block_sum(G1.gram, G2.gram)),
+                           block_sum(_as_matrix(R1), _as_matrix(R2)))

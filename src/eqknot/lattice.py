@@ -11,9 +11,8 @@ stored at scale s holds its current entries times s/prev.
 Public matrices are immutable tuples of tuples. Inside the package a
 matrix is also held as sparse rows, a list of {column: entry} dicts of
 its nonzero entries. `_row_mul` multiplies sparse rows. `mat_mul` wraps
-it for dense matrices, and isometry powers and the checks of R^2 = I and
-R^T G R = G on an involution given to `gsig_involution` call `_row_mul`
-directly. G +- G R is built on rows and handed to the elimination core
+it for dense matrices, and the checks of R^2 = I and R^T G R = G on an
+involution given to `gsig_involution` call `_row_mul` directly. G +- G R is built on rows and handed to the elimination core
 `_inertia` as it is.
 """
 

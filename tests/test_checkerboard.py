@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from eqknot import (CheckerboardGraph, SymmetrySpec, gl_full_form, gl_lattice,
@@ -34,8 +36,10 @@ class TestGraphValidation:
             CheckerboardGraph(4, [(0, 1, -1), (2, 3, -1)])
 
     def test_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            CheckerboardGraph(2, [(0, 1, 2)])
+        # non-int weights equal to +-1 (floats, bools) are rejected too
+        for w in (2, 0, 1.0, -1.0, True, "1"):
+            with pytest.raises(ValueError, match="edge weight must be"):
+                CheckerboardGraph(2, [(0, 1, w)])
 
     def test_vertex_weight_derived(self):
         g = CheckerboardGraph(2, [(0, 1, -1), (0, 1, -1), (0, 1, 1)])
@@ -218,7 +222,8 @@ class TestInducedIsometry:
         g, perm = star_with_leaf_cycles((3, 5, 7, 8))
         R = induced_isometry(g, SymmetrySpec(perm, 840, "periodic", 1), 0)
         assert R.order == 840
-        assert R.negated().order == 840
+        assert induced_isometry(
+            g, SymmetrySpec(perm, 840, "periodic", -1), 0).order == 840
 
     @pytest.mark.parametrize("cycles, eps, order, negated_order", [
         ((3,), -1, 6, 3), ((3,), 1, 3, 6), ((2, 3), -1, 6, 6),
@@ -231,8 +236,29 @@ class TestInducedIsometry:
         g, perm = star_with_leaf_cycles(cycles)
         R = induced_isometry(g, SymmetrySpec(perm, 60, "periodic", eps), 0)
         assert R.order == order
-        assert R.negated().order == negated_order
+        assert induced_isometry(
+            g, SymmetrySpec(perm, 60, "periodic", -eps), 0).order == (
+            negated_order)
 
+    @pytest.mark.parametrize("case", [
+        (f"K{n}-{''.join(map(str, perm))}", complete_graph(n), list(perm))
+        for n in range(1, 6) for perm in permutations(range(n))]
+        + list(isometry_cases()), ids=lambda case: case[0])
+    def test_order_is_least_power_to_identity(self, case):
+        # the closed-form order against the least d >= 1 with R^d = I,
+        # found by dense products, for every dropped vertex and lift sign
+        _, g, perm = case
+        m = g.vertex_count - 1
+        I = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        for v in range(g.vertex_count):
+            for eps in (1, -1):
+                R = induced_isometry(
+                    g, SymmetrySpec(perm, 60, "periodic", eps), v)
+                power, d = R.matrix, 1
+                while power != I:
+                    assert d < 120  # R^120 = I, as perm^60 = id
+                    power, d = dense_mat_mul(power, R.matrix), d + 1
+                assert R.order == d
 
     @pytest.mark.parametrize("case", list(isometry_cases()),
                              ids=lambda case: case[0])
@@ -290,5 +316,7 @@ class TestSymmetrySpec:
             SymmetrySpec([1, 2, 0], 10**18, "periodic", 1)
 
     def test_rejects_auto_sign(self):
-        with pytest.raises(ValueError):
-            SymmetrySpec([1, 0], 2, "strong_inversion", 0)
+        # non-int signs equal to +-1 (floats, bools) are rejected too
+        for sign in (0, 1.0, -1.0, True, False, "1"):
+            with pytest.raises(ValueError, match="lift_sign must be"):
+                SymmetrySpec([1, 0], 2, "strong_inversion", sign)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -437,6 +438,51 @@ def test_bad_flag_exit_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error SCHEMA") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["obstruct", "gsig"])
+@pytest.mark.parametrize("field, value, message", [
+    ("weight", -1.0, "edge weight must be +1 or -1"),
+    ("weight", True, "edge weight must be +1 or -1"),
+    ("lift_sign", -1.0, "lift_sign must be +1 or -1"),
+    ("lift_sign", True, "lift_sign must be +1 or -1"),
+])
+def test_non_int_weight_or_lift_sign_exit_2(command, field, value, message,
+                                            tmp_path, capsys):
+    # equal to +-1 by value but not ints: rejected, not computed on
+    doc = json.loads(NINE_40.read_text())
+    if field == "weight":
+        doc["edges"] = [[u, v, value] for u, v, _ in doc["edges"]]
+    else:
+        doc["symmetry"]["lift_sign"] = value
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    code, out = run([command, str(p)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error SCHEMA") and message in err
+
+
+def test_huge_vertex_count_exit_2(tmp_path):
+    # 10**8 vertices and 9 edges cannot be connected: exit 2 at once,
+    # with no per-vertex allocation, under a 1 GiB address-space limit
+    doc = json.loads(NINE_40.read_text())
+    doc["vertices"] = 10**8
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    code = ("import sys; from eqknot.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "obstruct", str(p)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert done.returncode == 2
+    assert done.stderr == ("error SCHEMA: bad graph: checkerboard graph "
+                           "must be connected\n")
 
 
 def test_import_leaves_numpy_out():

@@ -143,6 +143,12 @@ class TestDirectSum:
         rep = gsig_direct_sum(GRAM_946, TAU_946, G2, identity(2))
         assert rep.gsig == -4 + signature(G2).sigma
 
+    @pytest.mark.parametrize("R1", [identity(3), identity(1)])
+    def test_rejects_mis_sized_isometry(self, R1):
+        # R1 of rank 3 or 1 against a rank-2 G1
+        with pytest.raises(ValueError, match="isometry rank"):
+            gsig_direct_sum([[1, 0], [0, 1]], R1, GRAM_946, TAU_946)
+
     def test_additivity_random(self, rng):
         for _ in range(200):
             G1, S1 = _random_pair(rng, 3)

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, or
-re-exported through its __all__."""
+re-exported through its __all__, and every module-level private function
+is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,36 @@ def test_checker_finds_unused():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources: list[str]) -> list[str]:
+    """The module-level functions named `_name` (not dunders) in sources
+    that no Name or Attribute node reads outside their own definition."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)}
+            if isinstance(node, ast.FunctionDef):
+                names.discard(node.name)
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            used |= names
+    return sorted(defined - used)
+
+
+def test_checker_finds_unreferenced_private():
+    sources = ["def _pow(x, e): return x if e == 1 else _pow(x, e - 1)\n"
+               "def _order(x): return 1\n"
+               "def _used(): return 0\n"
+               "def __getattr__(name): return name\n",
+               "from .a import _used\n"
+               "import a\n"
+               "def f(): return _used() + a._order(2)\n"]
+    assert unreferenced_private_functions(sources) == ["_pow"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []
