@@ -6,9 +6,8 @@ the report layer, since the genus itself is an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .embedsearch import ObstructionReport
 from .gsignature import gsig_periodic
@@ -19,8 +18,7 @@ def _ceil(x: Fraction | int) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-@dataclass(frozen=True)
-class BoundsInput:
+class BoundsInput(NamedTuple):
     """Optional ingredients; each bound is evaluated only when its required
     fields are present.
 
@@ -39,15 +37,13 @@ class BoundsInput:
     genus_upper: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(NamedTuple):
     name: str
     value: Fraction
     ceiling: int
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     lower_bounds: tuple[LowerBound, ...]
     upper_bounds: tuple[tuple[str, int], ...]
     best_lower: Optional[int]

@@ -8,32 +8,33 @@ weights are always derived as minus the sum of incident edge weights.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 from operator import index
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .lattice import GramLattice, Matrix, signature
-
-Edge = tuple[int, int, int]
+from .lattice import GramLattice, Matrix, _Frozen, signature
 
 
-@dataclass(frozen=True)
-class CheckerboardGraph:
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    name: Optional[str] = None
+class CheckerboardGraph(_Frozen):
+    """A connected signed multigraph: vertices 0..vertex_count-1 and edges
+    (u, v, w) with u != v and weight w = +1 or -1, all ints (not bools)."""
+
+    __slots__ = _fields = ("vertex_count", "edges", "name")
 
     def __init__(self, vertex_count: int, edges: Sequence[Sequence[int]],
                  name: Optional[str] = None):
         if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
+        if type(vertex_count) is not int:
+            raise TypeError(f"vertex count must be an integer: "
+                            f"{vertex_count!r}")
         frozen = []
         for e in edges:
             u, v, w = e
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge endpoint out of range: {e}")
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge endpoint must be an integer: {e}")
             if u == v:
                 raise ValueError(f"loop edge not allowed: {e}")
             if type(w) is not int or w not in (1, -1):
@@ -67,8 +68,7 @@ class CheckerboardGraph:
         return -sum(w for a, b, w in self.edges if v in (a, b))
 
 
-@dataclass(frozen=True)
-class SymmetrySpec:
+class SymmetrySpec(_Frozen):
     """A symmetry of the diagram, given as a vertex permutation of the
     checkerboard graph.
 
@@ -78,15 +78,13 @@ class SymmetrySpec:
     must be supplied explicitly by the caller.
     """
 
-    vertex_perm: tuple[int, ...]
-    order: int
-    kind: str = "strong_inversion"
-    lift_sign: int = 1
+    __slots__ = _fields = ("vertex_perm", "order", "kind", "lift_sign")
 
     def __init__(self, vertex_perm: Sequence[int], order: int,
                  kind: str = "strong_inversion", lift_sign: int = 1):
         perm = tuple(vertex_perm)
-        if sorted(perm) != list(range(len(perm))):
+        if (sorted(perm) != list(range(len(perm)))
+                or any(type(i) is not int for i in perm)):
             raise ValueError("vertex_perm is not a permutation")
         if kind not in ("periodic", "strong_inversion"):
             raise ValueError(f"unknown symmetry kind: {kind}")
@@ -107,8 +105,7 @@ class SymmetrySpec:
         object.__setattr__(self, "lift_sign", lift_sign)
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(NamedTuple):
     """An integer matrix of finite multiplicative order preserving a
     Gram lattice (R^T G R = G)."""
 
@@ -131,13 +128,27 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
 
 
 def is_automorphism(g: CheckerboardGraph, perm: Sequence[int]) -> bool:
-    """Does perm preserve the weighted edge multiset of g?"""
+    """Does perm preserve the weighted edge multiset of g? Both multisets
+    are compared as sorted lists of edges (u, v, w) with u < v."""
     if sorted(perm) != list(range(g.vertex_count)):
         return False
-    orig = Counter((min(u, v), max(u, v), w) for u, v, w in g.edges)
-    mapped = Counter((min(perm[u], perm[v]), max(perm[u], perm[v]), w)
-                     for u, v, w in g.edges)
+    orig = [(u, v, w) if u < v else (v, u, w) for u, v, w in g.edges]
+    mapped = [(a, b, w) if (a := perm[u]) < (b := perm[v]) else (b, a, w)
+              for u, v, w in g.edges]
+    orig.sort()
+    mapped.sort()
     return orig == mapped
+
+
+def _gl_matrix(g: CheckerboardGraph) -> list[list[int]]:
+    n = g.vertex_count
+    M = [[0] * n for _ in range(n)]
+    for u, v, w in g.edges:
+        M[u][v] += w
+        M[v][u] += w
+        M[u][u] -= w
+        M[v][v] -= w
+    return M
 
 
 def gl_full_form(g: CheckerboardGraph) -> GramLattice:
@@ -147,14 +158,7 @@ def gl_full_form(g: CheckerboardGraph) -> GramLattice:
     sum the weights of connecting edges. Every row sums to zero since
     v_1 + ... + v_n lies in the radical.
     """
-    n = g.vertex_count
-    M = [[0] * n for _ in range(n)]
-    for u, v, w in g.edges:
-        M[u][v] += w
-        M[v][u] += w
-        M[u][u] -= w
-        M[v][v] -= w
-    return GramLattice(M)
+    return GramLattice(_gl_matrix(g))
 
 
 def gl_lattice(g: CheckerboardGraph,
@@ -162,7 +166,7 @@ def gl_lattice(g: CheckerboardGraph,
     """The Gordon-Litherland lattice on H_1 of the checkerboard surface:
     the full form with one vertex's row and column deleted. Rank n-1."""
     keep = _kept_vertices(g.vertex_count, dropped_vertex)
-    full = gl_full_form(g).gram
+    full = _gl_matrix(g)
     return GramLattice([[full[i][j] for j in keep] for i in keep])
 
 

@@ -18,12 +18,11 @@ data, not exit statuses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import BoundsInput, BoundsReport, aggregate
 from .checkerboard import (CheckerboardGraph, SymmetrySpec, gl_lattice,
@@ -57,8 +56,7 @@ class HypothesisError(CaseError):
     exit_code = EXIT_HYPOTHESIS
 
 
-@dataclasses.dataclass(frozen=True)
-class KnotCase:
+class KnotCase(NamedTuple):
     """One validated case file. sigma_K is the given sigma, else the one
     positive_crossings implies, else None."""
 
@@ -70,7 +68,7 @@ class KnotCase:
     bounds_extras: Optional[BoundsInput] = None
 
 
-_BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(BoundsInput))
+_BOUNDS_FIELDS = BoundsInput._fields
 
 
 def parse_case(text: str) -> KnotCase:
@@ -431,7 +429,7 @@ def _batch_row(path: Path, sign_mode: str) -> dict:
         rep, sigma = _obstruct_case(case, None, sign_mode)
         binp = case.bounds_extras or BoundsInput()
         if binp.sigma_K is None:
-            binp = dataclasses.replace(binp, sigma_K=sigma)
+            binp = binp._replace(sigma_K=sigma)
         brep = aggregate(binp, obstruction=rep)
         return {
             "name": case.name,

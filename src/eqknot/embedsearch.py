@@ -11,23 +11,20 @@ embedding classes and finding no such delta obstructs the genus value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry
-from .lattice import (GramLattice, Matrix, _as_matrix, is_positive_definite,
-                      mat_mul, transpose)
+from .lattice import (GramLattice, Matrix, _as_matrix, _Frozen,
+                      is_positive_definite, mat_mul, transpose)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Frozen):
     """A k x m integer matrix E with E^T E = G; column j is the image of
     the j-th basis vector of the source lattice."""
 
-    k: int
-    matrix: Matrix
+    __slots__ = _fields = ("k", "matrix")
 
     def __init__(self, k: int, matrix: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -44,12 +41,10 @@ class Embedding:
         return GramLattice(mat_mul(transpose(self.matrix), self.matrix))
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Frozen):
     """An automorphism of (Z^k, Id): e_{perm[i]} |-> signs[i] * e_i."""
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = _fields = ("perm", "signs")
 
     def __init__(self, perm: Sequence[int], signs: Sequence[int]):
         perm = tuple(perm)
@@ -90,8 +85,7 @@ class SignedPermutation:
         return out
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     k: int
     class_count: int
     per_class: tuple[tuple[Embedding, Optional[SignedPermutation]], ...]

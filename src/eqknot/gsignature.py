@@ -13,16 +13,14 @@ caller obligation this module cannot check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import (GramLattice, _as_matrix, _inertia, _row_mul, _rows,
                       transpose)
 
 
-@dataclass(frozen=True)
-class GSignatureReport:
+class GSignatureReport(NamedTuple):
     sigma_plus: int
     sigma_minus: int
     gsig: int | Fraction

@@ -14,15 +14,19 @@ its nonzero entries. `_row_mul` multiplies sparse rows. `mat_mul` wraps
 it for dense matrices, and the checks of R^2 = I and R^T G R = G on an
 involution given to `gsig_involution` call `_row_mul` directly. G +- G R is built on rows and handed to the elimination core
 `_inertia` as it is.
+
+The validated value types of the package (`GramLattice` here, the graph,
+symmetry, embedding and signed permutation types elsewhere) share
+`_Frozen`, a small immutable base with fields in `__slots__`. The plain
+records are `typing.NamedTuple`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Matrix = tuple[tuple, ...]
 Rows = list[dict]
@@ -87,16 +91,57 @@ def identity(n: int) -> Matrix:
                   for i in range(n)])
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class _Frozen:
+    """An immutable value whose fields, named in `_fields`, are set once
+    by the subclass's validating __init__ through object.__setattr__.
+
+    Two values are equal when they are of the same class and their
+    fields are equal; equal values hash equal, the repr lists the fields
+    as Name(field=value, ...), and assignment or deletion raises
+    AttributeError. Slots outside `_fields` take no part in eq, hash or
+    repr. A value pickles and copies as its class called on its fields,
+    so each subclass's __init__ takes them in `_fields` order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class GramLattice(_Frozen):
     """A symmetric bilinear form on a free module of finite rank.
 
     Entries are integers for forms coming from checkerboard graphs, but
     rational entries are allowed (restrictions to rational subspaces
-    produce them).
+    produce them). `signature` keeps the inertia it computes in the
+    private slot `_sig`, which cannot go stale as the form is immutable.
     """
 
-    gram: Matrix
+    __slots__ = ("gram", "_sig")
+    _fields = ("gram",)
 
     def __init__(self, gram: Sequence[Sequence]):
         gram = _freeze(gram)
@@ -106,14 +151,14 @@ class GramLattice:
         if gram != tuple(zip(*gram)):
             raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_sig", None)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
 
-@dataclass(frozen=True)
-class SignatureTriple:
+class SignatureTriple(NamedTuple):
     """Inertia of a symmetric form: counts of positive, negative, zero
     diagonal entries after congruence diagonalization."""
 
@@ -129,9 +174,13 @@ class SignatureTriple:
 def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     """Inertia of a symmetric form over the rationals. A form that is not
     a GramLattice is checked by building one; the elimination is
-    `_inertia` on the sparse rows of the form."""
-    gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
-    return _inertia(_rows(gram))
+    `_inertia` on the sparse rows of the form, run once per GramLattice,
+    which keeps the result."""
+    if not isinstance(G, GramLattice):
+        G = GramLattice(G)
+    if G._sig is None:
+        object.__setattr__(G, "_sig", _inertia(_rows(G.gram)))
+    return G._sig
 
 
 def _inertia(rows: Rows) -> SignatureTriple:

@@ -7,12 +7,14 @@ elimination in index order, matrix products on dense rows, embeddings
 via undirected brute force over column tuples, their Aut(Z^k, Id)
 classes by bucketing those with a sign-normalise-and-sort of the rows
 written here, delta via exhaustive search over all signed
-permutations, and the eigenspaces of an involution by row reduction in
-Fraction, with the form restricted to them as B^T G B.
+permutations, the eigenspaces of an involution by row reduction in
+Fraction, with the form restricted to them as B^T G B, and graph
+automorphisms by comparing Counters of normalised edges.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -283,6 +285,17 @@ def random_connected_graph(rng, max_vertices=6, weights=(-1, 1)):
     return CheckerboardGraph(n, edges)
 
 
+def automorphism_by_counter(g, perm):
+    """Does perm preserve the weighted edge multiset of g? The multisets
+    are Counters of edges (min, max, w)."""
+    if sorted(perm) != list(range(g.vertex_count)):
+        return False
+    orig = Counter((min(u, v), max(u, v), w) for u, v, w in g.edges)
+    mapped = Counter((min(perm[u], perm[v]), max(perm[u], perm[v]), w)
+                     for u, v, w in g.edges)
+    return orig == mapped
+
+
 def block_sum(blocks):
     """The block-diagonal matrix with the given square blocks."""
     n = sum(len(b) for b in blocks)
@@ -303,3 +316,19 @@ def conjugate(U, G):
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture
+def inertia_calls(monkeypatch):
+    """The ranks of the forms that `signature` eliminates, one entry per
+    call of `lattice._inertia` from then on."""
+    import eqknot.lattice as lattice
+    calls = []
+    inertia = lattice._inertia
+
+    def counted(rows):
+        calls.append(len(rows))
+        return inertia(rows)
+
+    monkeypatch.setattr(lattice, "_inertia", counted)
+    return calls

@@ -6,7 +6,8 @@ from eqknot import (CheckerboardGraph, SymmetrySpec, gl_full_form, gl_lattice,
                     induced_isometry, is_automorphism, is_positive_definite,
                     knot_signature, signature)
 from eqknot.lattice import mat_mul, transpose
-from conftest import dense_mat_mul, random_connected_graph
+from conftest import (automorphism_by_counter, dense_mat_mul,
+                      random_connected_graph)
 
 # 9_40 checkerboard graph: K5 minus the edge between the two weight-3
 # vertices, every edge weight -1. Reconstructed from the embedding vectors
@@ -40,6 +41,14 @@ class TestGraphValidation:
         for w in (2, 0, 1.0, -1.0, True, "1"):
             with pytest.raises(ValueError, match="edge weight must be"):
                 CheckerboardGraph(2, [(0, 1, w)])
+
+    def test_rejects_bool_vertex_count_or_endpoint(self):
+        # bools are ints by value (True == 1) but not integers here
+        with pytest.raises(TypeError, match="vertex count must be"):
+            CheckerboardGraph(True, [])
+        for e in ((0, True, -1), (True, 0, -1)):
+            with pytest.raises(TypeError, match="edge endpoint must be"):
+                CheckerboardGraph(2, [e])
 
     def test_vertex_weight_derived(self):
         g = CheckerboardGraph(2, [(0, 1, -1), (0, 1, -1), (0, 1, 1)])
@@ -282,6 +291,59 @@ class TestInducedIsometry:
                 assert power == I
 
 
+def symmetric_multigraph(rng, n):
+    """A random connected signed multigraph on n vertices with a random
+    automorphism perm: random edges (repeats allowed, weights mixed) and
+    a spanning path, each closed under perm. Returns (graph, perm)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    seeds = [(i, i + 1, rng.choice((-1, 1))) for i in range(n - 1)]
+    seeds += [(*rng.sample(range(n), 2), rng.choice((-1, 1)))
+              for _ in range(rng.randint(0, n))]
+    edges = []
+    for u, v, w in seeds:
+        a, b = u, v
+        while True:
+            edges.append((a, b, w))
+            a, b = perm[a], perm[b]
+            if (a, b) == (u, v):
+                break
+    return CheckerboardGraph(n, edges), perm
+
+
+class TestIsAutomorphism:
+    def test_agrees_with_counter_oracle(self, rng):
+        # symmetric multigraphs with their automorphism, then near misses:
+        # a flipped weight, an added parallel edge, another permutation,
+        # and sequences that are not permutations of range(n)
+        trues = total = 0
+        for _ in range(300):
+            g, perm = symmetric_multigraph(rng, rng.randint(2, 7))
+            n = g.vertex_count
+            j = rng.randrange(len(g.edges))
+            flipped = CheckerboardGraph(n, [(a, b, -w if i == j else w)
+                                            for i, (a, b, w)
+                                            in enumerate(g.edges)])
+            doubled = CheckerboardGraph(n, [*g.edges, g.edges[j]])
+            other = rng.sample(range(n), n)
+            bad = [perm[:-1], perm + [n], [0] * n,
+                   [p if i else n for i, p in enumerate(perm)],
+                   [-1 if p == 0 else p for p in perm]]
+            for h in (g, flipped, doubled):
+                for q in (perm, other, list(range(n)), *bad):
+                    got = is_automorphism(h, q)
+                    assert got == automorphism_by_counter(h, q), (h, q)
+                    trues += got
+                    total += 1
+        assert 0 < trues < total
+
+    def test_random_connected_graphs(self, rng):
+        for _ in range(100):
+            g = random_connected_graph(rng)
+            for q in permutations(range(g.vertex_count)):
+                assert is_automorphism(g, q) == automorphism_by_counter(g, q)
+
+
 class TestKnotSignature:
     def test_9_40(self):
         assert knot_signature(nine_40(), 6) == -2
@@ -314,6 +376,11 @@ class TestSymmetrySpec:
         assert s.order == 10**18
         with pytest.raises(ValueError):
             SymmetrySpec([1, 2, 0], 10**18, "periodic", 1)
+
+    def test_rejects_bool_in_perm(self):
+        for perm in ([True, 0], [1, False], [1.0, 0]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                SymmetrySpec(perm, 2, "strong_inversion", 1)
 
     def test_rejects_auto_sign(self):
         # non-int signs equal to +-1 (floats, bools) are rejected too

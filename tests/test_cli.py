@@ -463,6 +463,50 @@ def test_non_int_weight_or_lift_sign_exit_2(command, field, value, message,
     assert err.startswith("error SCHEMA") and message in err
 
 
+@pytest.mark.parametrize("command", ["obstruct", "gsig"])
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": True, "edges": [], "vertex_perm": [0]},
+     "vertex count must be an integer"),
+    ({"vertices": 2, "edges": [[0, True, -1]], "vertex_perm": [1, 0]},
+     "edge endpoint must be an integer"),
+    ({"vertices": 2, "edges": [[0, 1, -1]], "vertex_perm": [True, 0]},
+     "vertex_perm is not a permutation"),
+], ids=["vertices", "endpoint", "vertex_perm"])
+def test_bool_as_int_exit_2(command, doc, message, tmp_path, capsys):
+    # JSON true equals 1 by value but is not an integer: rejected
+    case = {"name": "b", "vertices": doc["vertices"], "edges": doc["edges"],
+            "symmetry": {"vertex_perm": doc["vertex_perm"], "order": 2,
+                         "kind": "strong_inversion", "lift_sign": 1},
+            "sigma": 0}
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(case))
+    code, out = run([command, str(p)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error SCHEMA") and message in err
+
+
+@pytest.mark.parametrize("command", ["obstruct", "embed"])
+def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
+    # the NOT_DEFINITE pre-check and the guard in enumerate_embeddings
+    # share one elimination of G; the case states sigma, not
+    # positive_crossings, so parsing eliminates nothing
+    from eqknot import gl_lattice
+    doc = json.loads(NINE_40.read_text())
+    del doc["positive_crossings"]
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps(
+        gl_lattice(parse_case(case.read_text()).graph).gram))
+    argv = (["obstruct", str(case)] if command == "obstruct"
+            else ["embed", "--gram", str(gram), "--k", "6"])
+    code, out = run(argv + ["--json"])
+    assert code == 0
+    assert json.loads(out)["class_count"] == 2
+    assert inertia_calls == [4]
+
+
 def test_huge_vertex_count_exit_2(tmp_path):
     # 10**8 vertices and 9 edges cannot be connected: exit 2 at once,
     # with no per-vertex allocation, under a 1 GiB address-space limit

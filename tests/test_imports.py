@@ -1,8 +1,12 @@
 """Every name a module of the package imports is used in that module, or
-re-exported through its __all__, and every module-level private function
-is referenced somewhere in the package."""
+re-exported through its __all__, every module-level private function
+is referenced somewhere in the package, and importing the CLI leaves out
+the modules that only slow start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,17 @@ def test_checker_finds_unreferenced_private():
 def test_no_unreferenced_private_functions():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize; -S keeps site
+    # (and whatever it imports) out of the measurement
+    code = ("import eqknot.cli, sys; "
+            "sys.exit(' '.join(sorted({'dataclasses', 'inspect'} "
+            "& set(sys.modules))) or None)")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")

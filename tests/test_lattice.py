@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from eqknot import GramLattice, is_positive_definite, signature
+from eqknot import (CheckerboardGraph, Embedding, GramLattice,
+                    SignedPermutation, SymmetrySpec, is_positive_definite,
+                    signature)
 from eqknot.lattice import (_freeze, _row_mul, _rows, identity, mat_mul,
                             transpose)
 from conftest import (block_sum, conjugate, dense_bareiss_inertia,
@@ -462,3 +466,91 @@ class TestMatMul:
             got = _row_mul(_rows(A), _rows(B))
             assert got == _rows(dense_mat_mul(A, B))
             assert all(all(row.values()) for row in got)
+
+
+class TestInertiaKept:
+    def test_signature_eliminates_once_per_lattice(self, inertia_calls):
+        G = GramLattice(GRAM_940_QUOTIENT)
+        assert signature(G) == (4, 0, 0)
+        assert is_positive_definite(G) and signature(G).sigma == 4
+        assert inertia_calls == [4]
+        # a plain matrix, or an equal but new lattice, is eliminated again
+        assert signature(GRAM_940_QUOTIENT) == signature(GramLattice(G.gram))
+        assert inertia_calls == [4, 4, 4]
+
+    def test_kept_inertia_is_not_part_of_the_value(self):
+        G, H = GramLattice(GRAM_946), GramLattice(GRAM_946)
+        signature(G)
+        assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+
+
+def _values():
+    return [GramLattice([[2, -1], [-1, Fraction(3, 2)]]),
+            CheckerboardGraph(2, [(0, 1, -1)], name="c2"),
+            CheckerboardGraph(3, [[0, 1, 1], [1, 2, -1]]),
+            SymmetrySpec([1, 0], 2),
+            SymmetrySpec([1, 2, 0], 3, "periodic", -1),
+            Embedding(2, [[1, 0], [0, -1]]),
+            SignedPermutation([1, 0], [1, -1])]
+
+
+class TestValueTypes:
+    """The validated types keep the behaviour they had as frozen
+    dataclasses: repr text, equality within one class, hashing, and no
+    assignment."""
+
+    def test_repr(self):
+        assert [repr(v) for v in _values()] == [
+            "GramLattice(gram=((2, -1), (-1, Fraction(3, 2))))",
+            "CheckerboardGraph(vertex_count=2, edges=((0, 1, -1),), "
+            "name='c2')",
+            "CheckerboardGraph(vertex_count=3, edges=((0, 1, 1), "
+            "(1, 2, -1)), name=None)",
+            "SymmetrySpec(vertex_perm=(1, 0), order=2, "
+            "kind='strong_inversion', lift_sign=1)",
+            "SymmetrySpec(vertex_perm=(1, 2, 0), order=3, kind='periodic', "
+            "lift_sign=-1)",
+            "Embedding(k=2, matrix=((1, 0), (0, -1)))",
+            "SignedPermutation(perm=(1, 0), signs=(1, -1))",
+        ]
+
+    def test_equal_values_hash_equal(self):
+        for a, b in zip(_values(), _values()):
+            assert a is not b and a == b and not a != b
+            assert hash(a) == hash(b)
+        assert len(set(_values())) == len(_values())
+
+    def test_no_equality_across_classes(self):
+        values = _values()
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                assert (a == b) == (i == j)
+        assert values[0] != (values[0].gram,)
+        assert values[-1] != ((1, 0), (1, -1))
+
+        class Sub(GramLattice):
+            __slots__ = ()
+
+        G = values[0]
+        assert Sub(G.gram) != G and G != Sub(G.gram)
+        assert Sub(G.gram) == Sub(G.gram)
+
+    def test_assignment_raises_attribute_error(self):
+        for v, field in zip(_values(), ["gram", "vertex_count", "edges",
+                                        "vertex_perm", "lift_sign",
+                                        "matrix", "signs"]):
+            with pytest.raises(AttributeError):
+                setattr(v, field, None)
+            with pytest.raises(AttributeError):
+                delattr(v, field)
+            with pytest.raises(AttributeError):
+                v.extra = 1
+        G = _values()[0]
+        with pytest.raises(AttributeError):
+            G._sig = None
+
+    def test_copy_and_pickle_round_trip(self):
+        for v in _values():
+            for w in (copy.copy(v), copy.deepcopy(v),
+                      pickle.loads(pickle.dumps(v))):
+                assert w == v and type(w) is type(v)
