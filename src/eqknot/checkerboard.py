@@ -63,10 +63,6 @@ class CheckerboardGraph(_Frozen):
                     stack.append(w)
         return len(seen) == n
 
-    def vertex_weight(self, v: int) -> int:
-        """w(v) = -(sum of weights of edges incident to v)."""
-        return -sum(w for a, b, w in self.edges if v in (a, b))
-
 
 class SymmetrySpec(_Frozen):
     """A symmetry of the diagram, given as a vertex permutation of the

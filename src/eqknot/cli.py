@@ -68,9 +68,6 @@ class KnotCase(NamedTuple):
     bounds_extras: Optional[BoundsInput] = None
 
 
-_BOUNDS_FIELDS = BoundsInput._fields
-
-
 def parse_case(text: str) -> KnotCase:
     """Parse and fully validate one case document."""
     try:
@@ -132,7 +129,7 @@ def parse_case(text: str) -> KnotCase:
         b = doc["bounds"]
         if not isinstance(b, dict):
             raise CaseError("SCHEMA", "'bounds' must be an object")
-        unknown = set(b) - set(_BOUNDS_FIELDS)
+        unknown = set(b) - set(BoundsInput._fields)
         if unknown:
             raise CaseError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
         extras = _bounds_input(b)
@@ -174,29 +171,6 @@ def _check_drop_vertex(case: KnotCase, v: Optional[int]):
     n = case.graph.vertex_count
     if v is not None and not 0 <= v < n:
         raise CaseError("SCHEMA", f"--drop-vertex must be from 0 to {n - 1}")
-
-
-def serialize_case(case: KnotCase) -> str:
-    doc = {
-        "name": case.name,
-        "vertices": case.graph.vertex_count,
-        "edges": [list(e) for e in case.graph.edges],
-        "symmetry": {
-            "vertex_perm": list(case.symmetry.vertex_perm),
-            "order": case.symmetry.order,
-            "kind": case.symmetry.kind,
-            "lift_sign": case.symmetry.lift_sign,
-        },
-    }
-    if case.positive_crossings is not None:
-        doc["positive_crossings"] = case.positive_crossings
-    if case.sigma_K is not None:
-        doc["sigma"] = case.sigma_K
-    if case.bounds_extras is not None:
-        b = {f: getattr(case.bounds_extras, f) for f in _BOUNDS_FIELDS
-             if getattr(case.bounds_extras, f) is not None}
-        doc["bounds"] = b
-    return json.dumps(doc, indent=2)
 
 
 def _rational(x) -> str:

@@ -17,19 +17,22 @@ from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry
 from .lattice import (GramLattice, Matrix, _as_matrix, _Frozen,
-                      is_positive_definite, mat_mul, transpose)
+                      is_positive_definite, mat_mul)
 
 
 class Embedding(_Frozen):
-    """A k x m integer matrix E with E^T E = G; column j is the image of
-    the j-th basis vector of the source lattice."""
+    """A k x m integer matrix E with E^T E = G, its entries ints (not
+    bools); column j is the image of the j-th basis vector of the source
+    lattice."""
 
     __slots__ = _fields = ("k", "matrix")
 
     def __init__(self, k: int, matrix: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple([tuple(row) for row in matrix])
         if len(rows) != k:
             raise ValueError("embedding matrix must have k rows")
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("embedding entries must be ints")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
 
@@ -37,18 +40,18 @@ class Embedding(_Frozen):
     def source_rank(self) -> int:
         return len(self.matrix[0]) if self.k else 0
 
-    def gram(self) -> GramLattice:
-        return GramLattice(mat_mul(transpose(self.matrix), self.matrix))
-
 
 class SignedPermutation(_Frozen):
-    """An automorphism of (Z^k, Id): e_{perm[i]} |-> signs[i] * e_i."""
+    """An automorphism of (Z^k, Id): e_{perm[i]} |-> signs[i] * e_i, with
+    perm and signs ints (not bools)."""
 
     __slots__ = _fields = ("perm", "signs")
 
     def __init__(self, perm: Sequence[int], signs: Sequence[int]):
         perm = tuple(perm)
         signs = tuple(signs)
+        if any(type(x) is not int for x in perm + signs):
+            raise ValueError("perm and signs must be ints")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
         if len(signs) != len(perm) or any(s not in (1, -1) for s in signs):
@@ -59,13 +62,6 @@ class SignedPermutation(_Frozen):
     @property
     def k(self) -> int:
         return len(self.perm)
-
-    def matrix(self) -> Matrix:
-        k = self.k
-        M = [[0] * k for _ in range(k)]
-        for i in range(k):
-            M[i][self.perm[i]] = self.signs[i]
-        return tuple(tuple(row) for row in M)
 
     def order(self) -> int:
         """Exact multiplicative order, from cycle lengths and the product
@@ -138,6 +134,7 @@ class EmbeddingSet:
         self.classes = tuple(classes)
         self.count = sum(size for _, size in self.classes)
 
+    # kept for perfbench/tracing.py's embedding counter (ROADMAP item 4)
     def __len__(self) -> int:
         return self.count
 
@@ -228,6 +225,8 @@ def canonical_form(E: Embedding) -> Embedding:
     return Embedding(E.k, rows)
 
 
+# kept for perfbench/tracing.py, which expects its span, until the class
+# counter moves there (ROADMAP item 4)
 def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     """The Aut(Z^k, Id) classes of an `EmbeddingSet`: (canonical
     representative, orbit size) pairs sorted by representative."""

@@ -86,11 +86,6 @@ def transpose(A) -> Matrix:
     return tuple([*zip(*A)]) if A else ()
 
 
-def identity(n: int) -> Matrix:
-    return tuple([tuple([1 if i == j else 0 for j in range(n)])
-                  for i in range(n)])
-
-
 class _Frozen:
     """An immutable value whose fields, named in `_fields`, are set once
     by the subclass's validating __init__ through object.__setattr__.

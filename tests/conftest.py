@@ -7,7 +7,8 @@ elimination in index order, matrix products on dense rows, embeddings
 via undirected brute force over column tuples, their Aut(Z^k, Id)
 classes by bucketing those with a sign-normalise-and-sort of the rows
 written here, delta via exhaustive search over all signed
-permutations, the eigenspaces of an involution by row reduction in
+permutations, the matrices of the identity and of a signed permutation
+built entry by entry, the eigenspaces of an involution by row reduction in
 Fraction, with the form restricted to them as B^T G B, and graph
 automorphisms by comparing Counters of normalised edges.
 """
@@ -22,8 +23,8 @@ from typing import Sequence
 import pytest
 
 from eqknot import CheckerboardGraph, Embedding, enumerate_vectors
-from eqknot.lattice import (GramLattice, _as_matrix, _freeze, identity,
-                            mat_mul, transpose)
+from eqknot.lattice import (GramLattice, _as_matrix, _freeze, mat_mul,
+                            transpose)
 
 
 def char_poly(M):
@@ -129,6 +130,18 @@ def dense_mat_mul(A, B):
                 row = [x + a * y for x, y in zip(row, row_b)]
         out.append(tuple(row))
     return tuple(out)
+
+
+def identity(n):
+    """The n x n identity matrix as a tuple of rows."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def signed_perm_matrix(P):
+    """The k x k matrix of the signed permutation P: row i holds
+    P.signs[i] in column P.perm[i]."""
+    return tuple(tuple(s if j == p else 0 for j in range(P.k))
+                 for p, s in zip(P.perm, P.signs))
 
 
 def eigenspace_basis(R, lam: int) -> list[tuple[Fraction, ...]]:

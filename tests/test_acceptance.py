@@ -17,7 +17,8 @@ from eqknot import (BoundsInput, CheckerboardGraph, Embedding, GramLattice,
 from eqknot.lattice import mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       conjugate, exhaustive_delta_exists,
-                      random_connected_graph, random_unimodular)
+                      random_connected_graph, random_unimodular,
+                      signed_perm_matrix)
 from test_embedsearch import _solve_isometry
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
@@ -191,7 +192,7 @@ def test_criterion_7_property_suites():
         perm = list(range(k))
         rng.shuffle(perm)
         P = SignedPermutation(perm, [rng.choice([1, -1]) for _ in range(k)])
-        moved = Embedding(k, mat_mul(P.matrix(), E.matrix))
+        moved = Embedding(k, mat_mul(signed_perm_matrix(P), E.matrix))
         assert canonical_form(moved).matrix == C.matrix
     # g-signature: antipode negation, additivity, rank bound
     from test_gsignature import _random_pair

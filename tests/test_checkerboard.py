@@ -51,9 +51,9 @@ class TestGraphValidation:
                 CheckerboardGraph(2, [e])
 
     def test_vertex_weight_derived(self):
+        # the diagonal is minus the sum of the incident edge weights
         g = CheckerboardGraph(2, [(0, 1, -1), (0, 1, -1), (0, 1, 1)])
-        assert g.vertex_weight(0) == 1
-        assert g.vertex_weight(1) == 1
+        assert gl_full_form(g).gram == ((1, -1), (-1, 1))
 
 
 class TestFullForm:

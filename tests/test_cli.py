@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eqknot.cli import (CaseError, main, parse_case, serialize_case)
+from eqknot.cli import CaseError, main, parse_case
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NINE_40 = FIXTURES / "9_40.json"
@@ -59,10 +59,6 @@ class TestParseCase:
         assert case.graph.vertex_count == 5
         assert len(case.graph.edges) == 9
         assert case.sigma_K == -2
-
-    def test_round_trip(self):
-        case = parse_case(NINE_40.read_text())
-        assert parse_case(serialize_case(case)) == case
 
     @pytest.mark.parametrize("doc", [json.loads(NINE_40.read_text()),
                                      star_840_case(23)],
@@ -144,7 +140,6 @@ class TestParseCase:
         doc["bounds"] = {"gsig": "-7/2", "period_n": 2}
         case = parse_case(json.dumps(doc))
         assert case.bounds_extras.gsig == "-7/2"
-        assert parse_case(serialize_case(case)) == case
 
     def test_odd_implied_sigma_schema(self):
         doc = json.loads(NINE_40.read_text())
@@ -507,6 +502,21 @@ def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
     assert inertia_calls == [4]
 
 
+def run_limited(argv):
+    """Run the CLI on argv in a subprocess under a 1 GiB address-space
+    limit, killed after 60 s."""
+    code = ("import sys; from eqknot.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+
 def test_huge_vertex_count_exit_2(tmp_path):
     # 10**8 vertices and 9 edges cannot be connected: exit 2 at once,
     # with no per-vertex allocation, under a 1 GiB address-space limit
@@ -514,19 +524,26 @@ def test_huge_vertex_count_exit_2(tmp_path):
     doc["vertices"] = 10**8
     p = tmp_path / "case.json"
     p.write_text(json.dumps(doc))
-    code = ("import sys; from eqknot.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, "obstruct", str(p)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-        text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(
-            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    done = run_limited(["obstruct", str(p)])
     assert done.returncode == 2
     assert done.stderr == ("error SCHEMA: bad graph: checkerboard graph "
                            "must be connected\n")
+
+
+@pytest.mark.xfail(strict=True, reason="enumerate_vectors recurses once "
+                   "per coordinate of Z^k, so k = 1204 raises RecursionError "
+                   "(ROADMAP item 1)")
+def test_huge_sigma_keeps_exit_contract(tmp_path):
+    # sigma -1200 asks for embeddings into Z^1204; E has at most tr(G)
+    # nonzero rows, so the answer needs no more than tr(G) coordinates
+    doc = json.loads(NINE_40.read_text())
+    del doc["positive_crossings"]
+    doc["sigma"] = -1200
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    done = run_limited(["obstruct", str(p)])
+    assert done.returncode in (0, 2, 3)
+    assert "Traceback" not in done.stderr
 
 
 def test_import_leaves_numpy_out():

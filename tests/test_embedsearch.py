@@ -10,10 +10,11 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     orbit_classes)
 from eqknot import embedsearch
-from eqknot.lattice import identity, mat_mul, transpose
+from eqknot.lattice import mat_mul, transpose
 from conftest import (brute_force_classes, brute_force_embeddings,
-                      conjugate, dense_bareiss_inertia,
-                      exhaustive_delta_exists, random_unimodular)
+                      conjugate, dense_bareiss_inertia, dense_mat_mul,
+                      exhaustive_delta_exists, identity, random_unimodular,
+                      signed_perm_matrix)
 
 
 class TestEnumerateVectors:
@@ -107,7 +108,7 @@ class TestEnumerateEmbeddings:
         embs = enumerate_embeddings(G, 3)
         assert embs.classes
         for e, _ in embs.classes:
-            assert e.gram().gram == G.gram
+            assert dense_mat_mul(transpose(e.matrix), e.matrix) == G.gram
 
     def test_representatives_sorted_and_canonical(self):
         # the documented order: representatives strictly increasing, each
@@ -161,7 +162,7 @@ class TestKMinusEdgeLadder:
         embs = enumerate_embeddings(G, k)
         for rep, _ in embs.classes:
             assert canonical_form(rep).matrix == rep.matrix
-            assert rep.gram().gram == G.gram
+            assert dense_mat_mul(transpose(rep.matrix), rep.matrix) == G.gram
         assert orbit_classes(embs) == list(embs.classes)
         return embs
 
@@ -205,7 +206,7 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             signs = [rng.choice([1, -1]) for _ in range(k)]
             P = SignedPermutation(perm, signs)
-            PE = mat_mul(P.matrix(), E.matrix)
+            PE = mat_mul(signed_perm_matrix(P), E.matrix)
             assert canonical_form(Embedding(k, PE)).matrix == C.matrix
 
 
@@ -224,7 +225,8 @@ class TestNine40FigureEmbeddings:
         reps = {canonical_form(E1).matrix, canonical_form(E2).matrix}
         assert len(reps) == 2
         # and they are the two classes of the 9_40 lattice in (Z^6, Id)
-        embs = enumerate_embeddings(E1.gram(), 6)
+        embs = enumerate_embeddings(
+            dense_mat_mul(transpose(E1.matrix), E1.matrix), 6)
         assert {c.matrix for c, _ in embs.classes} == reps
 
 
@@ -238,6 +240,22 @@ class TestOrbitClasses:
         classes = orbit_classes(embs)
         assert len(classes) == 1
         assert classes[0][1] == 8
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Embedding, (2, [[1.7, 0], [Fraction(1, 2), 1]])),
+    (Embedding, (2, [[True, 0], [0, 1]])),
+    (Embedding, (1, [[1.0]])),
+    (SignedPermutation, ((True, False), (1, 1))),
+    (SignedPermutation, ((1.0, 0), (1, 1))),
+    (SignedPermutation, ((1, 0), (1.0, True))),
+    (SignedPermutation, ((1, 0), (Fraction(-1), 1))),
+], ids=["embedding_float_fraction", "embedding_bool", "embedding_float",
+        "perm_bool", "perm_float", "signs_float_bool", "signs_fraction"])
+def test_rejects_non_int_entries(cls, args):
+    # equal to ints by value, but neither truncated nor accepted
+    with pytest.raises(ValueError):
+        cls(*args)
 
 
 class TestSignedPermutation:
@@ -257,7 +275,7 @@ class TestSignedPermutation:
             rng.shuffle(perm)
             p = SignedPermutation(perm, [rng.choice([1, -1])
                                          for _ in range(k)])
-            M = p.matrix()
+            M = signed_perm_matrix(p)
             assert mat_mul(transpose(M), M) == identity(k)
 
 
@@ -265,7 +283,7 @@ def _solve_isometry(E, P):
     """Given embedding E and signed permutation P, solve E.R = P.E for an
     integer R, if possible. Independent construction of valid test pairs."""
     from fractions import Fraction
-    T = mat_mul(P.matrix(), E.matrix)
+    T = mat_mul(signed_perm_matrix(P), E.matrix)
     k, m = E.k, E.source_rank
     # solve least-squares-free: (E^T E) R = E^T T exactly
     G = mat_mul(transpose(E.matrix), E.matrix)
@@ -294,14 +312,14 @@ class TestEquivariantDelta:
     def test_identity(self):
         E = Embedding(2, [(1, 0), (0, 1)])
         d = equivariant_delta(E, [[1, 0], [0, 1]], 1)
-        assert d is not None and d.matrix() == identity(2)
+        assert d is not None and signed_perm_matrix(d) == identity(2)
 
     def test_e_identity_delta_is_r(self):
         R = [[0, 1], [1, 0]]
         E = Embedding(2, [(1, 0), (0, 1)])
         d = equivariant_delta(E, R, 2)
         assert d is not None
-        assert d.matrix() == ((0, 1), (1, 0))
+        assert signed_perm_matrix(d) == ((0, 1), (1, 0))
 
     def test_fractional_isometry_not_truncated(self):
         # truncating 1/2 to 0 would give R = Id, matched by delta = Id
@@ -318,7 +336,7 @@ class TestEquivariantDelta:
         E = Embedding(3, [(1,), (0,), (0,)])
         d = equivariant_delta(E, [[1]], 2)
         assert d is not None and d.order() == 2
-        assert mat_mul(d.matrix(), E.matrix) == E.matrix
+        assert mat_mul(signed_perm_matrix(d), E.matrix) == E.matrix
 
     def test_exhaustive_oracle(self, rng):
         tested = 0
@@ -339,7 +357,8 @@ class TestEquivariantDelta:
             want = exhaustive_delta_exists(E, R, req)
             assert (got is not None) == want
             if got is not None:
-                assert mat_mul(got.matrix(), E.matrix) == mat_mul(E.matrix, R)
+                assert (mat_mul(signed_perm_matrix(got), E.matrix)
+                        == mat_mul(E.matrix, R))
                 assert got.order() == req
             tested += 1
 

@@ -6,8 +6,9 @@ from eqknot import (CheckerboardGraph, GramLattice, SymmetrySpec,
                     gl_full_form, gl_lattice, gsig_direct_sum,
                     gsig_involution, gsig_periodic, induced_isometry,
                     signature)
-from eqknot.lattice import identity, mat_mul, transpose
-from conftest import block_sum, conjugate, eigenspace_basis, restrict_form
+from eqknot.lattice import mat_mul, transpose
+from conftest import (block_sum, conjugate, eigenspace_basis, identity,
+                      restrict_form)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, or
 re-exported through its __all__, every module-level private function
-is referenced somewhere in the package, and importing the CLI leaves out
-the modules that only slow start-up."""
+is referenced somewhere in the package, every public one is referenced
+in the package, exported or named by a demo, and importing the CLI
+leaves out the modules that only slow start-up."""
 
 import ast
 import os
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eqknot"
+import eqknot
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eqknot"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,9 +55,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private_functions(sources: list[str]) -> list[str]:
-    """The module-level functions named `_name` (not dunders) in sources
-    that no Name or Attribute node reads outside their own definition."""
+def _functions_and_references(sources: list[str]) -> tuple[set, set]:
+    """The module-level functions defined in sources, and the names that
+    Name or Attribute nodes read there outside those definitions."""
     defined, used = set(), set()
     for source in sources:
         for node in ast.parse(source).body:
@@ -62,10 +66,17 @@ def unreferenced_private_functions(sources: list[str]) -> list[str]:
                       if isinstance(n, ast.Attribute)}
             if isinstance(node, ast.FunctionDef):
                 names.discard(node.name)
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.add(node.name)
+                defined.add(node.name)
             used |= names
-    return sorted(defined - used)
+    return defined, used
+
+
+def unreferenced_private_functions(sources: list[str]) -> list[str]:
+    """The module-level functions named `_name` (not dunders) in sources
+    that no Name or Attribute node reads outside their own definition."""
+    defined, used = _functions_and_references(sources)
+    return sorted(name for name in defined - used
+                  if name.startswith("_") and not name.endswith("__"))
 
 
 def test_checker_finds_unreferenced_private():
@@ -82,6 +93,38 @@ def test_checker_finds_unreferenced_private():
 def test_no_unreferenced_private_functions():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def unused_public_functions(sources: list[str], exported: list[str],
+                            demos: list[str]) -> list[str]:
+    """The public module-level functions in sources that no Name or
+    Attribute node reads outside their own definition, that `exported`
+    does not list and that no Name or Attribute node in demos reads.
+    Importing a function does not use it."""
+    defined, used = _functions_and_references(sources)
+    _, named = _functions_and_references(demos)
+    return sorted(name for name in defined - used - set(exported) - named
+                  if not name.startswith("_"))
+
+
+def test_checker_finds_unused_public():
+    sources = ["def helper(n): return helper(n - 1) if n else 0\n"
+               "def shown(): return 1\n"
+               "def exported(): return 2\n"
+               "def used(): return 3\n"
+               "def by_attribute(): return 4\n"
+               "def _private(): return 5\n",
+               "from .a import helper, used\n"
+               "import a\n"
+               "total = used() + a.by_attribute()\n"]
+    demos = ["from eqknot import shown\nprint(shown())\n"]
+    assert unused_public_functions(sources, ["exported"], demos) == ["helper"]
+
+
+def test_no_unused_public_functions():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    demos = [path.read_text() for path in sorted(ROOT.glob("demos/*.py"))]
+    assert unused_public_functions(sources, eqknot.__all__, demos) == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
