@@ -150,6 +150,64 @@ def _orbit_size(rows: Matrix) -> int:
     return size
 
 
+def _first_columns(norm: int, n: int) -> list[tuple[int, ...]]:
+    """The canonical first columns of norm `norm` in Z^n, in lexicographic
+    order: (-a_1, ..., -a_t, 0, ..., 0) with a_1 >= ... >= a_t > 0 and
+    a_1^2 + ... + a_t^2 = norm, one per partition of norm into squares."""
+    out: list[tuple[int, ...]] = []
+    parts: list[int] = []
+
+    def rec(rem: int, top: int):
+        if rem == 0:
+            out.append(tuple(parts) + (0,) * (n - len(parts)))
+            return
+        slots = n - len(parts)
+        for a in range(min(top, math.isqrt(rem)), 0, -1):
+            if a * a * slots < rem:
+                break
+            parts.append(-a)
+            rec(rem - a * a, a)
+            parts.pop()
+
+    rec(norm, norm)
+    return out
+
+
+def _seeded(v: tuple[int, ...], norm: int, product: int
+            ) -> list[tuple[int, ...]]:
+    """All w with w.w = norm and w.v = product, for v whose nonzero
+    entries come first: a coordinate search over the support of v, kept
+    to (product - partial)^2 <= (norm left) * (norm of v left) by
+    Cauchy-Schwarz, then every vector of the norm left on the rest."""
+    t = len(v)
+    while t and v[t - 1] == 0:
+        t -= 1
+    rest = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        rest[i] = rest[i + 1] + v[i] * v[i]
+    out: list[tuple[int, ...]] = []
+    prefix = [0] * t
+    tails: dict[int, list[tuple[int, ...]]] = {}
+
+    def rec(i: int, rem: int, need: int):
+        if i == t:
+            if rem not in tails:
+                tails[rem] = enumerate_vectors(len(v) - t, rem)
+            head = tuple(prefix)
+            out.extend([head + tail for tail in tails[rem]])
+            return
+        b = math.isqrt(rem)
+        x_i, r = v[i], rest[i + 1]
+        for x in range(-b, b + 1):
+            left = need - x * x_i
+            if left * left <= (rem - x * x) * r:
+                prefix[i] = x
+                rec(i + 1, rem - x * x, left)
+
+    rec(0, norm, product)
+    return out
+
+
 def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
                          k: int) -> EmbeddingSet:
     """The integer matrices E with E^T E = G, G positive definite, as an
@@ -159,14 +217,23 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     Orderly generation: only canonical matrices are built, i.e. those
     whose rows are sorted and each lexicographically at most its negation
     (the fixed points of `canonical_form`), so each class is found once.
-    Depth-first over columns: column j starts from the norm-G[j][j]
-    vectors of Z^k, built once per distinct norm. Rows with equal
-    prefixes so far form blocks, and a column is admissible only if it
-    is nondecreasing inside every block and <= 0 on the rows whose prefix
-    is all zero (always the last block). The search keeps one list of
-    live candidates per later column, in pool order. Placing v in column
-    j keeps in each later list t only the w with v . w = G[j][t], and the
-    node is pruned when one list is empty. Orbit sizes come from a closed
+    The norm G[j][j] of column j is the sum of the squares of its
+    entries, so E has at most tr(G) nonzero rows, and canonical rows put
+    them first: the search runs in Z^n, n = min(k, tr(G)), and pads with
+    zero rows. It places the column of largest norm first (the lowest
+    index on ties) and the others in their given order. The canonical
+    candidates for that first column are the partitions of its norm into
+    squares, (-a_1, ..., -a_t, 0, ..., 0) with a_1 >= ... >= a_t > 0.
+    Each such vector v seeds one list of live candidates per later
+    column t, every w with w.w = G[t][t] and w.v = G[first][t], built
+    directly (`_seeded`). From there the search is depth-first over
+    columns. Rows with equal prefixes so far form blocks, and a column is
+    admissible only if it is nondecreasing inside every block and <= 0 on
+    the rows whose prefix is all zero (always the last block). Placing v
+    in column j keeps in each later list t only the w with
+    v . w = G[j][t], and the node is pruned when one list is empty. Each
+    class found is mapped back to the given column order through
+    `canonical_form`, and its orbit size in Z^k comes from a closed
     formula (`_orbit_size`).
     """
     if not isinstance(G, GramLattice):
@@ -176,35 +243,58 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
                          "definite source form")
     g = G.gram
     m = G.rank
-    by_norm = {x: enumerate_vectors(k, x)
-               for x in dict.fromkeys(g[j][j] for j in range(m))}
-    classes: list[tuple[Embedding, int]] = []
+    if m == 0:
+        return EmbeddingSet([(Embedding(k, ((),) * k), 1)])
+    n = min(k, sum(g[j][j] for j in range(m)))
+    first = max(range(m), key=lambda j: g[j][j])
+    order = [first] + [j for j in range(m) if j != first]
+    gp = [[g[a][b] for b in order] for a in order]
+    found: list[Matrix] = []
     cols: list[tuple[int, ...]] = []
 
     def dfs(j: int, live: tuple[list[tuple[int, ...]], ...], same: list[int],
             zero: int):
-        # live[i]: the candidates left for column j + i, in pool order;
+        # live[i]: the candidates left for column j + i;
         # same: the rows i whose prefix equals that of row i - 1;
-        # zero: the first row whose prefix is all zero (k if none)
+        # zero: the first row whose prefix is all zero (n if none)
         if j == m:
-            rows = tuple(zip(*cols)) if cols else ((),) * k
-            classes.append((Embedding(k, rows), _orbit_size(rows)))
+            found.append(tuple(zip(*cols)))
             return
         for v in live[0]:
-            if (zero < k and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
+            if (zero < n and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
                 continue
             nxt = tuple([w for w in cand if sum(map(mul, v, w)) == product]
-                        for cand, product in zip(live[1:], g[j][j + 1:]))
+                        for cand, product in zip(live[1:], gp[j][j + 1:]))
             if not all(nxt):
                 continue
-            nz = k
+            nz = n
             while nz > zero and v[nz - 1] == 0:
                 nz -= 1
             cols.append(v)
             dfs(j + 1, nxt, [i for i in same if v[i - 1] == v[i]], nz)
             cols.pop()
 
-    dfs(0, tuple(by_norm[g[j][j]] for j in range(m)), list(range(1, k)), 0)
+    # (norm, inner product with the first column) of each later column;
+    # columns that share both share one seeded list
+    later = [(gp[t][t], gp[0][t]) for t in range(1, m)]
+    for v in _first_columns(gp[0][0], n):
+        seeded = {key: _seeded(v, *key) for key in dict.fromkeys(later)}
+        live = tuple(seeded[key] for key in later)
+        if all(live):
+            cols.append(v)
+            dfs(1, live, [i for i in range(1, n) if v[i - 1] == v[i]],
+                n - v.count(0))
+            cols.pop()
+
+    back = [order.index(j) for j in range(m)]
+    pad = ((0,) * m,) * (k - n)
+    classes: list[tuple[Embedding, int]] = []
+    for rows in found:
+        E = Embedding(k, tuple([tuple([r[i] for i in back]) for r in rows])
+                      + pad)
+        if first:
+            E = canonical_form(E)
+        classes.append((E, _orbit_size(E.matrix)))
     classes.sort(key=lambda c: c[0].matrix)
     return EmbeddingSet(classes)
 
@@ -233,14 +323,39 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     return list(embeddings.classes)
 
 
+def _order_points(d: int) -> int:
+    """Points enough for a signed permutation of any order dividing d: a
+    p^a-cycle for each power p^a of an odd prime that exactly divides d,
+    and for 2^a a 2^(a-1)-cycle with sign product -1. The sum of these
+    is at most d."""
+    points, p = 0, 2
+    while p * p <= d:
+        q = 1
+        while d % p == 0:
+            d, q = d // p, q * p
+        if q > 1:
+            points += q // 2 if p == 2 else q
+        p += 1
+    if d > 1:
+        points += 1 if d == 2 else d
+    return points
+
+
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
                       required_order: int) -> Optional[SignedPermutation]:
     """A signed permutation P with P.E = E.R of exact multiplicative order
     required_order, or None.
 
-    Each row i of P must send some row of E to row i of E.R up to sign;
-    zero rows of E.R are matched by zero rows of E with a free sign, and
-    the search backtracks over those subject only to the order condition.
+    Each row i of P must send some row of E to row i of E.R up to sign.
+    The z zero rows of E are zero in E.R too, and P permutes them freely,
+    with free signs; they meet the rest only through the order,
+    lcm(order on the nonzero rows, order on the zero rows). That second
+    order divides required_order, so `_order_points(required_order)`
+    points can carry it. The search backtracks only over the last f of
+    the z zero rows, f the smaller of the two, subject to the order
+    condition, and fixes the others with sign +1. It meets the rows in
+    the order that a search over all z zero rows would, so it returns the
+    same P.
     """
     Rm = _as_matrix(R)
     m = E.source_rank
@@ -248,34 +363,40 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
         raise ValueError("isometry dimension does not match embedding source")
     k = E.k
     T = mat_mul(E.matrix, Rm)
-    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
+    zero = [j for j, row in enumerate(E.matrix) if not any(row)]
+    free = zero[max(0, len(zero) - _order_points(required_order)):]
+    fixed = set(zero[:len(zero) - len(free)])
+    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i];
+    # width[i]: their number, counting all z zero rows for a zero T_row[i]
     row_index: dict[tuple[int, ...], list[int]] = {}
     for j, row in enumerate(E.matrix):
         row_index.setdefault(row, []).append(j)
-    candidates: list[list[tuple[int, int]]] = []
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    width: dict[int, int] = {}
     for i in range(k):
+        if i in fixed:
+            continue
         t = T[i]
-        opts = []
-        if all(x == 0 for x in t):
-            for j in row_index.get(t, []):
-                opts.extend([(j, 1), (j, -1)])
-        else:
-            for j in row_index.get(t, []):
-                opts.append((j, 1))
+        if any(t):
+            opts = [(j, 1) for j in row_index.get(t, [])]
             neg = tuple(-x for x in t)
-            for j in row_index.get(neg, []):
-                opts.append((j, -1))
+            opts.extend((j, -1) for j in row_index.get(neg, []))
+            width[i] = len(opts)
+        else:
+            opts = [(j, s) for j in free for s in (1, -1)]
+            width[i] = 2 * len(zero)
         if not opts:
             return None
-        candidates.append(opts)
+        candidates[i] = opts
 
-    perm = [-1] * k
-    signs = [0] * k
+    perm = list(range(k))
+    signs = [1] * k
     used = [False] * k
-    order_rows = sorted(range(k), key=lambda i: len(candidates[i]))
+    order_rows = sorted(candidates, key=width.__getitem__)
+    last = len(order_rows)
 
     def search(pos: int) -> Optional[SignedPermutation]:
-        if pos == k:
+        if pos == last:
             P = SignedPermutation(tuple(perm), tuple(signs))
             return P if P.order() == required_order else None
         i = order_rows[pos]
@@ -288,7 +409,6 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
             if hit is not None:
                 return hit
             used[j] = False
-        perm[i], signs[i] = -1, 0
         return None
 
     return search(0)

@@ -6,8 +6,9 @@ they check: inertia via the characteristic polynomial and Descartes' rule
 elimination in index order, matrix products on dense rows, embeddings
 via undirected brute force over column tuples, their Aut(Z^k, Id)
 classes by bucketing those with a sign-normalise-and-sort of the rows
-written here, delta via exhaustive search over all signed
-permutations, the matrices of the identity and of a signed permutation
+written here and by the earlier orderly search that filtered full norm
+pools of Z^k, delta via exhaustive search over all signed permutations
+and by the earlier backtracking over every zero row, the matrices of the identity and of a signed permutation
 built entry by entry, the eigenspaces of an involution by row reduction in
 Fraction, with the form restricted to them as B^T G B, and graph
 automorphisms by comparing Counters of normalised edges.
@@ -18,13 +19,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
 import pytest
 
-from eqknot import CheckerboardGraph, Embedding, enumerate_vectors
-from eqknot.lattice import (GramLattice, _as_matrix, _freeze, mat_mul,
-                            transpose)
+from eqknot import (CheckerboardGraph, Embedding, SignedPermutation,
+                    enumerate_vectors)
+from eqknot.embedsearch import EmbeddingSet, _orbit_size
+from eqknot.lattice import (GramLattice, _as_matrix, _freeze,
+                            is_positive_definite, mat_mul, transpose)
 
 
 def char_poly(M):
@@ -234,6 +238,126 @@ def brute_force_classes(G, k):
         rows = tuple(sorted(min(r, tuple(-x for x in r)) for r in E.matrix))
         counts[rows] = counts.get(rows, 0) + 1
     return [(Embedding(k, rows), n) for rows, n in sorted(counts.items())]
+
+
+def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
+                           k: int) -> EmbeddingSet:
+    """The integer matrices E with E^T E = G, G positive definite, as an
+    `EmbeddingSet`: one canonical representative per Aut(Z^k, Id) class,
+    with its orbit size.
+
+    Orderly generation: only canonical matrices are built, i.e. those
+    whose rows are sorted and each lexicographically at most its negation
+    (the fixed points of `canonical_form`), so each class is found once.
+    Depth-first over columns: column j starts from the norm-G[j][j]
+    vectors of Z^k, built once per distinct norm. Rows with equal
+    prefixes so far form blocks, and a column is admissible only if it
+    is nondecreasing inside every block and <= 0 on the rows whose prefix
+    is all zero (always the last block). The search keeps one list of
+    live candidates per later column, in pool order. Placing v in column
+    j keeps in each later list t only the w with v . w = G[j][t], and the
+    node is pruned when one list is empty. Orbit sizes come from a closed
+    formula (`_orbit_size`).
+    """
+    if not isinstance(G, GramLattice):
+        G = GramLattice(G)
+    if not is_positive_definite(G):
+        raise ValueError("embedding target (Z^k, Id) requires a positive "
+                         "definite source form")
+    g = G.gram
+    m = G.rank
+    by_norm = {x: enumerate_vectors(k, x)
+               for x in dict.fromkeys(g[j][j] for j in range(m))}
+    classes: list[tuple[Embedding, int]] = []
+    cols: list[tuple[int, ...]] = []
+
+    def dfs(j: int, live: tuple[list[tuple[int, ...]], ...], same: list[int],
+            zero: int):
+        # live[i]: the candidates left for column j + i, in pool order;
+        # same: the rows i whose prefix equals that of row i - 1;
+        # zero: the first row whose prefix is all zero (k if none)
+        if j == m:
+            rows = tuple(zip(*cols)) if cols else ((),) * k
+            classes.append((Embedding(k, rows), _orbit_size(rows)))
+            return
+        for v in live[0]:
+            if (zero < k and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
+                continue
+            nxt = tuple([w for w in cand if sum(map(mul, v, w)) == product]
+                        for cand, product in zip(live[1:], g[j][j + 1:]))
+            if not all(nxt):
+                continue
+            nz = k
+            while nz > zero and v[nz - 1] == 0:
+                nz -= 1
+            cols.append(v)
+            dfs(j + 1, nxt, [i for i in same if v[i - 1] == v[i]], nz)
+            cols.pop()
+
+    dfs(0, tuple(by_norm[g[j][j]] for j in range(m)), list(range(1, k)), 0)
+    classes.sort(key=lambda c: c[0].matrix)
+    return EmbeddingSet(classes)
+
+
+def delta_over_all_zero_rows(E: Embedding, R, required_order: int
+                             ) -> Optional[SignedPermutation]:
+    """A signed permutation P with P.E = E.R of exact multiplicative order
+    required_order, or None.
+
+    Each row i of P must send some row of E to row i of E.R up to sign;
+    zero rows of E.R are matched by zero rows of E with a free sign, and
+    the search backtracks over those subject only to the order condition.
+    """
+    Rm = _as_matrix(R)
+    m = E.source_rank
+    if len(Rm) != m or any(len(row) != m for row in Rm):
+        raise ValueError("isometry dimension does not match embedding source")
+    k = E.k
+    T = mat_mul(E.matrix, Rm)
+    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
+    row_index: dict[tuple[int, ...], list[int]] = {}
+    for j, row in enumerate(E.matrix):
+        row_index.setdefault(row, []).append(j)
+    candidates: list[list[tuple[int, int]]] = []
+    for i in range(k):
+        t = T[i]
+        opts = []
+        if all(x == 0 for x in t):
+            for j in row_index.get(t, []):
+                opts.extend([(j, 1), (j, -1)])
+        else:
+            for j in row_index.get(t, []):
+                opts.append((j, 1))
+            neg = tuple(-x for x in t)
+            for j in row_index.get(neg, []):
+                opts.append((j, -1))
+        if not opts:
+            return None
+        candidates.append(opts)
+
+    perm = [-1] * k
+    signs = [0] * k
+    used = [False] * k
+    order_rows = sorted(range(k), key=lambda i: len(candidates[i]))
+
+    def search(pos: int) -> Optional[SignedPermutation]:
+        if pos == k:
+            P = SignedPermutation(tuple(perm), tuple(signs))
+            return P if P.order() == required_order else None
+        i = order_rows[pos]
+        for j, s in candidates[i]:
+            if used[j]:
+                continue
+            used[j] = True
+            perm[i], signs[i] = j, s
+            hit = search(pos + 1)
+            if hit is not None:
+                return hit
+            used[j] = False
+        perm[i], signs[i] = -1, 0
+        return None
+
+    return search(0)
 
 
 def signed_perm_order(perm, signs):

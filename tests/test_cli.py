@@ -27,23 +27,26 @@ BAD_GRAM_FILES = {
 }
 
 
-def star_840_case(centre):
+def star_840_case(centre, cycles=(3, 5, 7, 8)):
     """A star with 23 leaves permuted in cycles of lengths 3, 5, 7 and 8
     (order 840), every edge weight -1 and every crossing positive, so
-    sigma is 0. Dropping the centre vertex leaves the lattice I_23."""
-    leaves = [v for v in range(24) if v != centre]
-    perm = list(range(24))
+    sigma is 0. Dropping the centre vertex leaves the lattice I_23.
+    Other cycle lengths give other stars, of order their lcm."""
+    n = sum(cycles) + 1
+    leaves = [v for v in range(n) if v != centre]
+    perm = list(range(n))
     start = 0
-    for length in (3, 5, 7, 8):
+    for length in cycles:
         cycle = leaves[start:start + length]
         for i, v in enumerate(cycle):
             perm[v] = cycle[(i + 1) % length]
         start += length
-    return {"name": "star840", "vertices": 24,
+    order = math.lcm(*cycles)
+    return {"name": f"star{order}", "vertices": n,
             "edges": [[centre, v, -1] for v in leaves],
-            "symmetry": {"vertex_perm": perm, "order": 840,
+            "symmetry": {"vertex_perm": perm, "order": order,
                          "kind": "periodic", "lift_sign": 1},
-            "positive_crossings": 23, "sigma": 0}
+            "positive_crossings": n - 1, "sigma": 0}
 
 
 def run(argv):
@@ -502,9 +505,70 @@ def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
     assert inertia_calls == [4]
 
 
-def run_limited(argv):
-    """Run the CLI on argv in a subprocess under a 1 GiB address-space
-    limit, killed after 60 s."""
+def _symmetric_cases():
+    """Case documents with every edge weight -1, at sigma 0 and -2:
+    C_n rotated and reflected, the wheel W_n and the star S_n with the
+    rim or the leaves rotated, and K_n minus m disjoint edges with the
+    ends of each removed edge swapped."""
+    def doc(n, edges, perm, order, kind):
+        return {"name": "generated", "vertices": n,
+                "edges": [list(e) for e in edges],
+                "symmetry": {"vertex_perm": perm, "order": order,
+                             "kind": kind, "lift_sign": 1}}
+
+    cases = {}
+    for n in range(3, 7):
+        rim = [(i, (i + 1) % n, -1) for i in range(n)]
+        turn = [(i + 1) % n for i in range(n)]
+        cases[f"C{n}_rotated"] = doc(n, rim, turn, n, "periodic")
+        cases[f"C{n}_reflected"] = doc(n, rim, [-i % n for i in range(n)],
+                                       2, "strong_inversion")
+        cases[f"W{n}"] = doc(n + 1, rim + [(i, n, -1) for i in range(n)],
+                             turn + [n], n, "periodic")
+        cases[f"S{n}"] = doc(n + 1, [(0, i, -1) for i in range(1, n + 1)],
+                             [0] + [i % n + 1 for i in range(1, n + 1)], n,
+                             "periodic")
+    for n, m in ((4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)):
+        gone = {(2 * i, 2 * i + 1) for i in range(m)}
+        cases[f"K{n}-{m}"] = doc(
+            n, [(u, v, -1) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in gone],
+            [v ^ 1 if v < 2 * m else v for v in range(n)], 2,
+            "strong_inversion")
+    return {f"{name}_sigma{-s}": dict(d, sigma=s)
+            for name, d in cases.items() for s in (0, -2)}
+
+
+def _drop_vertex_cases():
+    from test_golden import CASES
+    golden = {name: {"name": name, **doc} for name, doc in CASES.items()}
+    return {"9_40": json.loads(NINE_40.read_text()), **golden,
+            **_symmetric_cases()}
+
+
+@pytest.mark.parametrize("name, doc", _drop_vertex_cases().items(),
+                         ids=list(_drop_vertex_cases()))
+def test_verdict_independent_of_dropped_vertex(tmp_path, name, doc):
+    # dropping another vertex gives an isometric lattice and a conjugate
+    # isometry, so k, the class count and the verdict stay the same; the
+    # largest-norm column moves with the drop
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    for mode in ("strict", "both"):
+        seen = set()
+        for v in range(doc["vertices"]):
+            code, out = run(["obstruct", str(p), "--drop-vertex", str(v),
+                             "--sign-mode", mode, "--json"])
+            assert code in (0, 3), (v, mode)  # 3: not positive definite
+            rep = json.loads(out) if code == 0 else {}
+            seen.add((code, rep.get("k"), rep.get("class_count"),
+                      rep.get("obstructed")))
+        assert len(seen) == 1, (mode, seen)
+
+
+def run_limited(argv, limit=1 << 30):
+    """Run the CLI on argv in a subprocess under an address-space limit
+    of `limit` bytes (1 GiB by default), killed after 60 s."""
     code = ("import sys; from eqknot.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -514,7 +578,7 @@ def run_limited(argv):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(
-            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+            resource.RLIMIT_AS, (limit, limit)))
 
 
 def test_huge_vertex_count_exit_2(tmp_path):
@@ -530,20 +594,42 @@ def test_huge_vertex_count_exit_2(tmp_path):
                            "must be connected\n")
 
 
-@pytest.mark.xfail(strict=True, reason="enumerate_vectors recurses once "
-                   "per coordinate of Z^k, so k = 1204 raises RecursionError "
-                   "(ROADMAP item 1)")
 def test_huge_sigma_keeps_exit_contract(tmp_path):
-    # sigma -1200 asks for embeddings into Z^1204; E has at most tr(G)
-    # nonzero rows, so the answer needs no more than tr(G) coordinates
+    # sigma -1200 asks for embeddings into Z^1204, and --k 1100 for the
+    # A2 form into Z^1100; E has at most tr(G) nonzero rows, so the
+    # answer needs no more than tr(G) coordinates. A star of order 2520
+    # at sigma -2000 has 2000 zero rows, of which a delta needs to move
+    # at most 4 + 9 + 5 + 7
     doc = json.loads(NINE_40.read_text())
     del doc["positive_crossings"]
     doc["sigma"] = -1200
-    p = tmp_path / "case.json"
-    p.write_text(json.dumps(doc))
-    done = run_limited(["obstruct", str(p)])
-    assert done.returncode in (0, 2, 3)
-    assert "Traceback" not in done.stderr
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    gram = tmp_path / "a2.json"
+    gram.write_text(json.dumps([[2, -1], [-1, 2]]))
+    star = star_840_case(0, cycles=(5, 7, 8, 9))
+    del star["positive_crossings"]
+    star["sigma"] = -2000
+    (tmp_path / "star.json").write_text(json.dumps(star))
+    for argv in (["obstruct", str(case)],
+                 ["embed", "--gram", str(gram), "--k", "1100"],
+                 ["obstruct", str(tmp_path / "star.json"),
+                  "--drop-vertex", "0"]):
+        done = run_limited(argv)
+        assert done.returncode in (0, 2, 3), argv
+        assert "Traceback" not in done.stderr
+
+
+def test_star_leaf_dropped_in_bounded_memory(tmp_path):
+    # dropping a leaf leaves the centre a column of norm 23 in Z^23,
+    # whose full norm pool does not fit in 600 MB; the lattice is still
+    # I_23, one class, with a delta of order 840
+    p = tmp_path / "star.json"
+    p.write_text(json.dumps(star_840_case(23)))
+    done = run_limited(["obstruct", str(p), "--drop-vertex", "0"],
+                       limit=600 * 10**6)
+    assert done.returncode == 0, done.stderr
+    assert "embedding classes: 1\n  class 0: delta found\n" in done.stdout
 
 
 def test_import_leaves_numpy_out():

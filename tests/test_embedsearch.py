@@ -9,11 +9,12 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     donaldson_obstruction, enumerate_embeddings,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     orbit_classes)
-from eqknot import embedsearch
 from eqknot.lattice import mat_mul, transpose
 from conftest import (brute_force_classes, brute_force_embeddings,
-                      conjugate, dense_bareiss_inertia, dense_mat_mul,
-                      exhaustive_delta_exists, identity, random_unimodular,
+                      conjugate, delta_over_all_zero_rows,
+                      dense_bareiss_inertia, dense_mat_mul,
+                      exhaustive_delta_exists, identity,
+                      pool_embedding_classes, random_unimodular,
                       signed_perm_matrix)
 
 
@@ -69,20 +70,65 @@ class TestEnumerateVectors:
                 assert (enumerate_vectors(k, norm)
                         == self._recursive_vectors(k, norm)), (k, norm)
 
-    def test_one_pool_per_distinct_norm(self, monkeypatch):
-        calls = []
 
-        def counting(k, norm):
-            calls.append(norm)
-            return enumerate_vectors(k, norm)
+class TestAgainstPoolSearch:
+    # the search seeded from the largest-norm column, in Z^min(k, tr G),
+    # against the earlier search that filtered full norm pools of Z^k:
+    # the same representatives, orbit sizes, order and count
+    @staticmethod
+    def same_classes(G, k):
+        want = pool_embedding_classes(G, k)
+        got = enumerate_embeddings(G, k)
+        assert got.classes == want.classes, (G, k)
+        assert got.count == want.count
+        return len(got.classes)
 
-        monkeypatch.setattr(embedsearch, "enumerate_vectors", counting)
-        G = [[2, -1, 0], [-1, 3, -1], [0, -1, 2]]
-        embs = enumerate_embeddings(G, 4)
-        assert calls == [2, 3]
-        monkeypatch.undo()
-        assert len(embs.classes) == 1
-        assert list(embs.classes) == brute_force_classes(G, 4)
+    def test_random_grams(self, rng):
+        # G = E^T E for seeded random E with 1 to 5 columns and entries
+        # in [-2, 2], kept when positive definite and tr(G) <= 8; into
+        # Z^k for k from the rank to rank + 2 and for k above tr(G)
+        tested = found = 0
+        while tested < 150:
+            m = rng.randint(1, 5)
+            E = [[rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
+                  for _ in range(m)] for _ in range(rng.randint(m, m + 2))]
+            gram = [[sum(r[i] * r[j] for r in E) for j in range(m)]
+                    for i in range(m)]
+            trace = sum(gram[j][j] for j in range(m))
+            if trace > 8 or dense_bareiss_inertia(gram) != (m, 0, 0):
+                continue
+            for k in (m, m + 1, m + 2, trace + 1):
+                found += self.same_classes(gram, k)
+            tested += 1
+        assert found
+
+    @pytest.mark.parametrize("n, k", [(6, 6), (6, 7), (7, 8)])
+    def test_k_minus_edge(self, n, k):
+        edges = [(u, v, -1) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) != (0, 1)]
+        self.same_classes(gl_lattice(CheckerboardGraph(n, edges)), k)
+
+    @pytest.mark.parametrize("family", ["cycle", "wheel", "star"])
+    def test_relabelled_families(self, family, rng):
+        # every vertex dropped in turn from a relabelled C_n, W_n or S_n,
+        # so the largest-norm column sits at every position
+        for n in range(3, 7):
+            if family == "cycle":
+                edges = [(i, (i + 1) % n, -1) for i in range(n)]
+            elif family == "wheel":
+                edges = ([(i, (i + 1) % n, -1) for i in range(n)]
+                         + [(i, n, -1) for i in range(n)])
+            else:
+                edges = [(0, i, -1) for i in range(1, n + 1)]
+            size = n + (family != "cycle")
+            label = list(range(size))
+            rng.shuffle(label)
+            g = CheckerboardGraph(size, [(label[u], label[v], w)
+                                         for u, v, w in edges])
+            for drop in range(size):
+                G = gl_lattice(g, drop)
+                for k in (G.rank, G.rank + 2):
+                    self.same_classes(G, k)
 
 
 class TestEnumerateEmbeddings:
@@ -337,6 +383,46 @@ class TestEquivariantDelta:
         d = equivariant_delta(E, [[1]], 2)
         assert d is not None and d.order() == 2
         assert mat_mul(signed_perm_matrix(d), E.matrix) == E.matrix
+
+    def test_surplus_zero_rows_fixed(self):
+        # five equal rows and three zero rows, order 2: only the last two
+        # zero rows are searched, and the delta is the one the search over
+        # all three found, the last zero row negated
+        E = Embedding(8, [(1,)] * 5 + [(0,)] * 3)
+        d = equivariant_delta(E, [[1]], 2)
+        assert d == SignedPermutation(range(8), (1,) * 7 + (-1,))
+
+    def test_many_zero_rows(self):
+        # a 3-cycle on the last three of 1,200 zero rows; no recursion
+        # through the other zero rows
+        E = Embedding(1201, [(1,)] + [(0,)] * 1200)
+        d = equivariant_delta(E, [[1]], 3)
+        assert d.order() == 3
+        moved = [i for i in range(1201) if (d.perm[i], d.signs[i]) != (i, 1)]
+        assert moved == [1198, 1199, 1200]
+
+    def test_same_delta_as_search_over_all_zero_rows(self, rng):
+        # c copies of +-e_i for each i and z zero rows, shuffled, and R a
+        # signed permutation matrix: for required orders 1 to 6 the search
+        # often leaves some of the z zero rows fixed, yet finds the same P
+        # as the backtracking over all of them
+        tested = 0
+        while tested < 80:
+            m, c, z = rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 4)
+            if m * c + z > 8:
+                continue
+            tested += 1
+            rows = [tuple(rng.choice((1, -1)) * (j == i) for j in range(m))
+                    for i in range(m) for _ in range(c)] + [(0,) * m] * z
+            rng.shuffle(rows)
+            E = Embedding(len(rows), rows)
+            image = list(range(m))
+            rng.shuffle(image)
+            R = [[rng.choice((1, -1)) * (j == image[i]) for j in range(m)]
+                 for i in range(m)]
+            for order in range(1, 7):
+                assert (equivariant_delta(E, R, order)
+                        == delta_over_all_zero_rows(E, R, order)), (rows, R)
 
     def test_exhaustive_oracle(self, rng):
         tested = 0
