@@ -173,12 +173,14 @@ def _first_columns(norm: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _seeded(v: tuple[int, ...], norm: int, product: int
+def _seeded(v: tuple[int, ...], norm: int, product: int,
+            tails: dict[tuple[int, int], list[tuple[int, ...]]]
             ) -> list[tuple[int, ...]]:
     """All w with w.w = norm and w.v = product, for v whose nonzero
     entries come first: a coordinate search over the support of v, kept
     to (product - partial)^2 <= (norm left) * (norm of v left) by
-    Cauchy-Schwarz, then every vector of the norm left on the rest."""
+    Cauchy-Schwarz, then every vector of the norm left on the rest.
+    `tails` caches those last vectors by (length, norm) across calls."""
     t = len(v)
     while t and v[t - 1] == 0:
         t -= 1
@@ -187,14 +189,14 @@ def _seeded(v: tuple[int, ...], norm: int, product: int
         rest[i] = rest[i + 1] + v[i] * v[i]
     out: list[tuple[int, ...]] = []
     prefix = [0] * t
-    tails: dict[int, list[tuple[int, ...]]] = {}
+    size = len(v) - t
 
     def rec(i: int, rem: int, need: int):
         if i == t:
-            if rem not in tails:
-                tails[rem] = enumerate_vectors(len(v) - t, rem)
+            if (size, rem) not in tails:
+                tails[size, rem] = enumerate_vectors(size, rem)
             head = tuple(prefix)
-            out.extend([head + tail for tail in tails[rem]])
+            out.extend([head + tail for tail in tails[size, rem]])
             return
         b = math.isqrt(rem)
         x_i, r = v[i], rest[i + 1]
@@ -277,8 +279,10 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     # (norm, inner product with the first column) of each later column;
     # columns that share both share one seeded list
     later = [(gp[t][t], gp[0][t]) for t in range(1, m)]
+    tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for v in _first_columns(gp[0][0], n):
-        seeded = {key: _seeded(v, *key) for key in dict.fromkeys(later)}
+        seeded = {key: _seeded(v, *key, tails)
+                  for key in dict.fromkeys(later)}
         live = tuple(seeded[key] for key in later)
         if all(live):
             cols.append(v)
@@ -323,13 +327,17 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     return list(embeddings.classes)
 
 
-def _order_points(d: int) -> int:
-    """Points enough for a signed permutation of any order dividing d: a
-    p^a-cycle for each power p^a of an odd prime that exactly divides d,
-    and for 2^a a 2^(a-1)-cycle with sign product -1. The sum of these
-    is at most d."""
+def _order_points(d: int, cap: int) -> int:
+    """The smaller of cap and the points enough for a signed permutation
+    of any order dividing d: a p^a-cycle for each power p^a of an odd
+    prime that exactly divides d, and for 2^a a 2^(a-1)-cycle with sign
+    product -1. The sum of these is at most d. Trial division stops once
+    the sum reaches cap or the divisor passes it, since every prime power
+    left is then larger than cap, so a huge d costs O(min(cap, sqrt d))."""
     points, p = 0, 2
     while p * p <= d:
+        if points >= cap or p > cap:
+            return cap
         q = 1
         while d % p == 0:
             d, q = d // p, q * p
@@ -338,7 +346,7 @@ def _order_points(d: int) -> int:
         p += 1
     if d > 1:
         points += 1 if d == 2 else d
-    return points
+    return min(points, cap)
 
 
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
@@ -350,9 +358,9 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     The z zero rows of E are zero in E.R too, and P permutes them freely,
     with free signs; they meet the rest only through the order,
     lcm(order on the nonzero rows, order on the zero rows). That second
-    order divides required_order, so `_order_points(required_order)`
-    points can carry it. The search backtracks only over the last f of
-    the z zero rows, f the smaller of the two, subject to the order
+    order divides required_order, so `_order_points(required_order, z)`
+    of them can carry it. The search backtracks only over the last f of
+    the z zero rows, f that number, subject to the order
     condition, and fixes the others with sign +1. It meets the rows in
     the order that a search over all z zero rows would, so it returns the
     same P.
@@ -364,7 +372,7 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     k = E.k
     T = mat_mul(E.matrix, Rm)
     zero = [j for j, row in enumerate(E.matrix) if not any(row)]
-    free = zero[max(0, len(zero) - _order_points(required_order)):]
+    free = zero[len(zero) - _order_points(required_order, len(zero)):]
     fixed = set(zero[:len(zero) - len(free)])
     # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i];
     # width[i]: their number, counting all z zero rows for a zero T_row[i]

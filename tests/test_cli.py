@@ -620,6 +620,24 @@ def test_huge_sigma_keeps_exit_contract(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_huge_symmetry_order_answers_at_once(tmp_path):
+    # a periodic symmetry may have any order its cycle lengths divide;
+    # the identity with a semiprime order near 10**18 leaves every
+    # class without a delta, found without factoring the order
+    doc = json.loads(NINE_40.read_text())
+    del doc["positive_crossings"]
+    doc["sigma"] = -4
+    doc["symmetry"] = {"vertex_perm": [0, 1, 2, 3, 4],
+                       "order": 999999937 * 999999929,
+                       "kind": "periodic", "lift_sign": 1}
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    done = run_limited(["obstruct", str(p), "--sign-mode", "both"])
+    assert done.returncode == 0, done.stderr
+    assert "embedding classes: 11\n" in done.stdout
+    assert "obstructed: True\n" in done.stdout
+
+
 def test_star_leaf_dropped_in_bounded_memory(tmp_path):
     # dropping a leaf leaves the centre a column of norm 23 in Z^23,
     # whose full norm pool does not fit in 600 MB; the lattice is still
