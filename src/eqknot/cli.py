@@ -68,12 +68,8 @@ class KnotCase(NamedTuple):
     bounds_extras: Optional[BoundsInput] = None
 
 
-def parse_case(text: str) -> KnotCase:
-    """Parse and fully validate one case document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CaseError("SCHEMA", f"not valid JSON: {e}") from e
+def parse_case(doc) -> KnotCase:
+    """Fully validate one decoded case document (see `_load`)."""
     if not isinstance(doc, dict):
         raise CaseError("SCHEMA", "top level must be an object")
     for key in ("name", "vertices", "edges", "symmetry"):
@@ -250,11 +246,16 @@ def _print_bounds(doc: dict, out):
           f"{doc['best_upper']}   consistent: {doc['consistent']}", file=out)
 
 
-def _read(path: str) -> str:
+def _load(path) -> object:
+    """The JSON document in the file at path, the CLI's only reader: an
+    unreadable file is an IO error; bytes that are not UTF-8, not JSON or
+    nested too deeply to decode are a SCHEMA error."""
     try:
-        return Path(path).read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise CaseError("IO", f"cannot read {path}: {e}") from e
+    except (ValueError, RecursionError) as e:
+        raise CaseError("SCHEMA", f"not valid JSON: {e}") from e
 
 
 def _load_gram(path: str, involution: bool = False
@@ -262,10 +263,7 @@ def _load_gram(path: str, involution: bool = False
     """The form in a --gram JSON file and, if asked for, the involution.
 
     Without `involution` the file may also be the bare Gram matrix."""
-    try:
-        raw = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise CaseError("SCHEMA", f"not valid JSON: {e}") from e
+    raw = _load(path)
     if not involution and not isinstance(raw, dict):
         raw = {"gram": raw}
     keys = ("gram", "involution") if involution else ("gram",)
@@ -290,7 +288,7 @@ def _load_gram(path: str, involution: bool = False
 
 
 def cmd_obstruct(args, out) -> int:
-    case = parse_case(_read(args.file))
+    case = parse_case(_load(args.file))
     rep, sigma = _obstruct_case(case, args.drop_vertex, args.sign_mode)
     doc = obstruction_to_dict(rep)
     doc["name"] = case.name
@@ -327,7 +325,7 @@ def cmd_gsig(args, out) -> int:
         if args.gram is not None:
             G, R = _load_gram(args.gram, involution=True)
         else:
-            case = parse_case(_read(args.file))
+            case = parse_case(_load(args.file))
             if case.symmetry.order != 2:
                 raise HypothesisError(
                     "NOT_INVOLUTION",
@@ -399,7 +397,7 @@ def cmd_embed(args, out) -> int:
 
 def _batch_row(path: Path, sign_mode: str) -> dict:
     try:
-        case = parse_case(path.read_text())
+        case = parse_case(_load(path))
         rep, sigma = _obstruct_case(case, None, sign_mode)
         binp = case.bounds_extras or BoundsInput()
         if binp.sigma_K is None:

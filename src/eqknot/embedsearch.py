@@ -141,12 +141,12 @@ class EmbeddingSet:
 
 def _orbit_size(rows: Matrix) -> int:
     """k!/(z! prod mu_r!) * 2^(k - z) for z zero rows and nonzero rows of
-    multiplicities mu_r: the orbit of `rows` under Aut(Z^k, Id)."""
-    k = len(rows)
-    zero = sum(1 for r in rows if not any(r))
-    size = math.factorial(k) << (k - zero)
-    for r in set(rows):
-        size //= math.factorial(rows.count(r))
+    multiplicities mu_r: the orbit of `rows` under Aut(Z^k, Id), with
+    k!/z! as the product of the top k - z factors of k!."""
+    nonzero = [r for r in rows if any(r)]
+    size = math.perm(len(rows), len(nonzero)) << len(nonzero)
+    for r in set(nonzero):
+        size //= math.factorial(nonzero.count(r))
     return size
 
 

@@ -1,7 +1,9 @@
 """g-signatures of symmetric knots.
 
 For an order-2 symmetry R of a form G, sigma~ = sigma(G | ker(R-I)) -
-sigma(G | ker(R+I)). No eigenspace basis is needed: R^T G = G R, so
+sigma(G | ker(R+I)). With R^2 = I, R^T G R = G holds iff R^T G = G R,
+that is iff G R is symmetric (G is), so R is checked to preserve G on
+the G R built anyway. No eigenspace basis is needed: R^T G = G R, so
 (I+-R)^T G (I+-R) = 2(G +- G R), and I+-R maps Q^n onto ker(R-+I), so
 sigma(G | ker(R-+I)) = sigma(G +- G R), an integer matrix when G and R
 are. The eigenspace dimensions are (n +- tr R)/2. n-periodic knots go
@@ -16,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lattice import (GramLattice, _as_matrix, _inertia, _row_mul, _rows,
-                      transpose)
+from .lattice import GramLattice, _as_matrix, _inertia, _row_mul, _rows
 
 
 class GSignatureReport(NamedTuple):
@@ -30,9 +31,9 @@ class GSignatureReport(NamedTuple):
 def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
                     R) -> GSignatureReport:
     """sigma~ = sigma(G | ker(R-I)) - sigma(G | ker(R+I)) for an involution
-    R preserving G, as sigma(G + G R) - sigma(G - G R). R^2 = I and
-    R^T G R = G are checked on sparse rows, and G +- G R, symmetric once
-    they hold, goes to the elimination as sparse rows."""
+    R preserving G, as sigma(G + G R) - sigma(G - G R). R^2 = I and the
+    symmetry of G R are checked on sparse rows, and G +- G R goes to the
+    elimination as sparse rows."""
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     Rm = _as_matrix(R)
@@ -43,7 +44,8 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
     if _row_mul(Rr, Rr) != [{i: 1} for i in range(n)]:
         raise ValueError("R is not an involution")
     GR = _row_mul(Gr, Rr)
-    if _row_mul(_rows(transpose(Rm)), GR) != Gr:
+    if any(GR[j].get(i) != x for i, row in enumerate(GR)
+           for j, x in row.items()):
         raise ValueError("R does not preserve the form")
     trace = int(sum(Rm[i][i] for i in range(n)))
     dp, dm = (n + trace) // 2, (n - trace) // 2

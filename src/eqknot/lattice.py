@@ -11,9 +11,9 @@ stored at scale s holds its current entries times s/prev.
 Public matrices are immutable tuples of tuples. Inside the package a
 matrix is also held as sparse rows, a list of {column: entry} dicts of
 its nonzero entries. `_row_mul` multiplies sparse rows. `mat_mul` wraps
-it for dense matrices, and the checks of R^2 = I and R^T G R = G on an
-involution given to `gsig_involution` call `_row_mul` directly. G +- G R is built on rows and handed to the elimination core
-`_inertia` as it is.
+it for dense matrices. `gsig_involution` calls `_row_mul` directly to
+check R^2 = I and build G R, and hands G +- G R to the elimination core
+`_inertia` as sparse rows.
 
 The validated value types of the package (`GramLattice` here, the graph,
 symmetry, embedding and signed permutation types elsewhere) share
@@ -80,10 +80,6 @@ def mat_mul(A, B) -> Matrix:
             dense[j] = x
         out.append(tuple(dense))
     return tuple(out)
-
-
-def transpose(A) -> Matrix:
-    return tuple([*zip(*A)]) if A else ()
 
 
 class _Frozen:

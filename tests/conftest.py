@@ -8,13 +8,16 @@ via undirected brute force over column tuples, their Aut(Z^k, Id)
 classes by bucketing those with a sign-normalise-and-sort of the rows
 written here and by the earlier orderly search that filtered full norm
 pools of Z^k, delta via exhaustive search over all signed permutations
-and by the earlier backtracking over every zero row, the matrices of the identity and of a signed permutation
-built entry by entry, the eigenspaces of an involution by row reduction in
-Fraction, with the form restricted to them as B^T G B, and graph
-automorphisms by comparing Counters of normalised edges.
+and by the earlier backtracking over every zero row, orbit sizes from
+full factorials, the transpose, the matrices of the identity and of a
+signed permutation built entry by entry, the eigenspaces of an
+involution by row reduction in Fraction, with the form restricted to
+them as B^T G B, and graph automorphisms by comparing Counters of
+normalised edges.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +31,7 @@ from eqknot import (CheckerboardGraph, Embedding, SignedPermutation,
                     enumerate_vectors)
 from eqknot.embedsearch import EmbeddingSet, _orbit_size
 from eqknot.lattice import (GramLattice, _as_matrix, _freeze,
-                            is_positive_definite, mat_mul, transpose)
+                            is_positive_definite, mat_mul)
 
 
 def char_poly(M):
@@ -134,6 +137,22 @@ def dense_mat_mul(A, B):
                 row = [x + a * y for x, y in zip(row, row_b)]
         out.append(tuple(row))
     return tuple(out)
+
+
+def orbit_size_by_factorials(rows) -> int:
+    """k!/(z! prod mu_r!) * 2^(k - z) for z zero rows and nonzero rows of
+    multiplicities mu_r, from the full factorials k!, z! and mu_r!."""
+    k = len(rows)
+    zero = sum(1 for r in rows if not any(r))
+    size = math.factorial(k) << (k - zero)
+    for r in set(rows):
+        size //= math.factorial(rows.count(r))
+    return size
+
+
+def transpose(A):
+    """The transpose of A as a tuple of rows."""
+    return tuple(zip(*A)) if A else ()
 
 
 def identity(n):

@@ -5,9 +5,9 @@ import pytest
 from eqknot import (CheckerboardGraph, SymmetrySpec, gl_full_form, gl_lattice,
                     induced_isometry, is_automorphism, is_positive_definite,
                     knot_signature, signature)
-from eqknot.lattice import mat_mul, transpose
+from eqknot.lattice import mat_mul
 from conftest import (automorphism_by_counter, dense_mat_mul,
-                      random_connected_graph)
+                      random_connected_graph, transpose)
 
 # 9_40 checkerboard graph: K5 minus the edge between the two weight-3
 # vertices, every edge weight -1. Reconstructed from the embedding vectors

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eqknot.cli import CaseError, main, parse_case
+from eqknot.cli import CaseError, _load, main, parse_case
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NINE_40 = FIXTURES / "9_40.json"
@@ -25,6 +25,12 @@ BAD_GRAM_FILES = {
                                "involution": [[1, 0], [0, 1]]}),
     "missing_gram": json.dumps({"involution": [[1, 0], [0, 1]]}),
 }
+
+
+# bytes no JSON decoder takes: not UTF-8, and nested past the recursion
+# limit
+UNDECODABLE = {"not_utf8": b'{"name": "\xff"}',
+               "deep": b"[" * 200_000 + b"]" * 200_000}
 
 
 def star_840_case(centre, cycles=(3, 5, 7, 8)):
@@ -57,7 +63,7 @@ def run(argv):
 
 class TestParseCase:
     def test_9_40_fixture(self):
-        case = parse_case(NINE_40.read_text())
+        case = parse_case(json.loads(NINE_40.read_text()))
         assert case.name == "9_40"
         assert case.graph.vertex_count == 5
         assert len(case.graph.edges) == 9
@@ -76,7 +82,7 @@ class TestParseCase:
             (tmp_path / name).mkdir()
             path = tmp_path / name / "case.json"
             path.write_text(json.dumps(d))
-            assert parse_case(path.read_text()).sigma_K == doc["sigma"]
+            assert parse_case(_load(path)).sigma_K == doc["sigma"]
             outputs.append([run(argv + flags)
                             for argv in (["obstruct", str(path)],
                                          ["batch", str(tmp_path / name)])
@@ -90,7 +96,7 @@ class TestParseCase:
                "symmetry": {"vertex_perm": [0, 1], "order": 2,
                             "kind": "periodic", "lift_sign": 1}}
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "LOOP_EDGE"
 
     def test_not_automorphism_code(self):
@@ -99,19 +105,21 @@ class TestParseCase:
                "symmetry": {"vertex_perm": [1, 0, 2], "order": 2,
                             "kind": "strong_inversion", "lift_sign": 1}}
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "NOT_AUTOMORPHISM"
 
     def test_sigma_mismatch_code(self):
         doc = json.loads(NINE_40.read_text())
         doc["sigma"] = 0
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "SIGMA_MISMATCH"
 
-    def test_schema_code_on_garbage(self):
+    def test_schema_code_on_garbage(self, tmp_path):
+        path = tmp_path / "garbage.json"
+        path.write_text("not json")
         with pytest.raises(CaseError) as e:
-            parse_case("not json")
+            _load(path)
         assert e.value.code == "SCHEMA"
 
     @pytest.mark.parametrize("field, value", [
@@ -124,7 +132,7 @@ class TestParseCase:
         del doc["sigma"], doc["positive_crossings"]
         doc[field] = value
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "SCHEMA"
 
     @pytest.mark.parametrize("bounds", [
@@ -135,13 +143,13 @@ class TestParseCase:
         doc = json.loads(NINE_40.read_text())
         doc["bounds"] = bounds
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "SCHEMA"
 
     def test_fraction_gsig_bounds(self):
         doc = json.loads(NINE_40.read_text())
         doc["bounds"] = {"gsig": "-7/2", "period_n": 2}
-        case = parse_case(json.dumps(doc))
+        case = parse_case(doc)
         assert case.bounds_extras.gsig == "-7/2"
 
     def test_odd_implied_sigma_schema(self):
@@ -149,7 +157,7 @@ class TestParseCase:
         del doc["sigma"]
         doc["positive_crossings"] = 5
         with pytest.raises(CaseError) as e:
-            parse_case(json.dumps(doc))
+            parse_case(doc)
         assert e.value.code == "SCHEMA"
 
 
@@ -404,6 +412,44 @@ class TestBatchCommand:
         assert rows["words.json"]["error"].startswith("SCHEMA")
         assert rows["9_40.json"]["obstructed"] is True
 
+    def test_unreadable_and_undecodable_rows(self, tmp_path):
+        # a directory named like a case file is an IO row, bytes no
+        # decoder takes are SCHEMA rows; the batch still exits 0
+        (tmp_path / "a.json").mkdir()
+        for name, content in UNDECODABLE.items():
+            (tmp_path / f"{name}.json").write_bytes(content)
+        (tmp_path / "9_40.json").write_text(NINE_40.read_text())
+        code, out = run(["batch", str(tmp_path), "--json"])
+        assert code == 0
+        rows = {r["file"]: r for r in map(json.loads, out.splitlines())}
+        assert rows["a.json"]["error"].startswith("IO: cannot read ")
+        for name in UNDECODABLE:
+            row = rows[f"{name}.json"]
+            assert (set(row), row["name"]) == ({"name", "file", "error"}, name)
+            assert row["error"].startswith("SCHEMA: not valid JSON: ")
+        assert rows["9_40.json"]["obstructed"] is True
+        code, out = run(["batch", str(tmp_path)])
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert [line.split()[:3] for line in lines] == [
+            ["9_40", "-2", "6"], ["a", "ERROR", "IO:"],
+            ["deep", "ERROR", "SCHEMA:"], ["not_utf8", "ERROR", "SCHEMA:"]]
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "FILE"], ["gsig", "FILE"], ["gsig", "--gram", "FILE"],
+    ["embed", "--gram", "FILE", "--k", "4"]],
+    ids=["obstruct", "gsig", "gsig_gram", "embed_gram"])
+def test_undecodable_file_exit_2(argv, name, tmp_path, capsys):
+    p = tmp_path / "case.json"
+    p.write_bytes(UNDECODABLE[name])
+    code, out = run([str(p) if a == "FILE" else a for a in argv])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error SCHEMA: not valid JSON: ")
+    assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("argv", [
     ["obstruct", str(NINE_40), "--drop-vertex", "99"],
@@ -496,7 +542,7 @@ def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
     case.write_text(json.dumps(doc))
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps(
-        gl_lattice(parse_case(case.read_text()).graph).gram))
+        gl_lattice(parse_case(doc).graph).gram))
     argv = (["obstruct", str(case)] if command == "obstruct"
             else ["embed", "--gram", str(gram), "--k", "6"])
     code, out = run(argv + ["--json"])
@@ -618,6 +664,20 @@ def test_huge_sigma_keeps_exit_contract(tmp_path):
         done = run_limited(argv)
         assert done.returncode in (0, 2, 3), argv
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="the zero rows past tr(G) are "
+                   "materialised, so a k past sys.maxsize raises "
+                   "OverflowError and exits 1")
+def test_astronomical_sigma_keeps_exit_contract(tmp_path):
+    doc = json.loads(NINE_40.read_text())
+    del doc["positive_crossings"]
+    doc["sigma"] = -10**20
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    done = run_limited(["obstruct", str(p)])
+    assert done.returncode in (0, 2, 3)
+    assert "Traceback" not in done.stderr
 
 
 def test_huge_symmetry_order_answers_at_once(tmp_path):

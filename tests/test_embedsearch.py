@@ -9,13 +9,14 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     donaldson_obstruction, enumerate_embeddings,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     orbit_classes)
-from eqknot.lattice import mat_mul, transpose
+from eqknot.embedsearch import _orbit_size
+from eqknot.lattice import mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       conjugate, delta_over_all_zero_rows,
                       dense_bareiss_inertia, dense_mat_mul,
                       exhaustive_delta_exists, identity,
-                      pool_embedding_classes, random_unimodular,
-                      signed_perm_matrix)
+                      orbit_size_by_factorials, pool_embedding_classes,
+                      random_unimodular, signed_perm_matrix, transpose)
 
 
 class TestEnumerateVectors:
@@ -286,6 +287,18 @@ class TestOrbitClasses:
         classes = orbit_classes(embs)
         assert len(classes) == 1
         assert classes[0][1] == 8
+
+    def test_orbit_size_matches_factorials(self, rng):
+        # many zero rows, as k above tr(G) pads; nonzero rows repeat
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            pool = [tuple(rng.randint(-2, 2) for _ in range(m))
+                    for _ in range(rng.randint(1, 4))]
+            rows = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            rows += [(0,) * m] * rng.choice([0, 1, 5, rng.randint(0, 3000)])
+            rng.shuffle(rows)
+            rows = tuple(rows)
+            assert _orbit_size(rows) == orbit_size_by_factorials(rows)
 
 
 @pytest.mark.parametrize("cls, args", [

@@ -6,9 +6,9 @@ from eqknot import (CheckerboardGraph, GramLattice, SymmetrySpec,
                     gl_full_form, gl_lattice, gsig_direct_sum,
                     gsig_involution, gsig_periodic, induced_isometry,
                     signature)
-from eqknot.lattice import mat_mul, transpose
-from conftest import (block_sum, conjugate, eigenspace_basis, identity,
-                      restrict_form)
+from eqknot.lattice import mat_mul
+from conftest import (block_sum, conjugate, dense_mat_mul, eigenspace_basis,
+                      identity, random_unimodular, restrict_form, transpose)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -77,6 +77,34 @@ class TestInvolution:
     def test_rejection_messages(self, G, R, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             gsig_involution(G, R)
+
+    def test_preservation_matches_rtgr_oracle(self, rng):
+        # R = U^-1 S U for a signed-permutation involution S and a random
+        # unimodular U; G = U^T G0 U preserved by it, or that G with one
+        # symmetric pair of entries moved. gsig_involution rejects R
+        # exactly when R^T G R != G
+        verdicts = []
+        for _ in range(600):
+            G0, S = _random_pair(rng, max_n=5)
+            n = G0.rank
+            U = random_unimodular(rng, n)
+            R = dense_mat_mul(dense_mat_mul(
+                [[int(x) for x in row] for row in _inverse(U)], S), U)
+            G = [list(row) for row in conjugate(U, G0.gram)]
+            if rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                G[i][j] += rng.choice([1, -1])
+                G[j][i] = G[i][j]
+            preserved = dense_mat_mul(dense_mat_mul(transpose(R), G),
+                                      R) == tuple(map(tuple, G))
+            if preserved:
+                gsig_involution(G, R)
+            else:
+                with pytest.raises(ValueError,
+                                   match="^R does not preserve the form$"):
+                    gsig_involution(G, R)
+            verdicts.append(preserved)
+        assert 100 < sum(verdicts) < 500
 
     def test_rational_form_matches_scaled_integer_form(self, rng):
         # a positive scale keeps every inertia, so G/c with R gives the

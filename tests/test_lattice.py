@@ -8,11 +8,11 @@ import pytest
 from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     SignedPermutation, SymmetrySpec, is_positive_definite,
                     signature)
-from eqknot.lattice import (_freeze, _row_mul, _rows, mat_mul,
-                            transpose)
+from eqknot.lattice import _freeze, _row_mul, _rows, mat_mul
 from conftest import (block_sum, conjugate, dense_bareiss_inertia,
                       dense_mat_mul, eigenspace_basis, identity,
-                      inertia_by_descartes, random_unimodular, restrict_form)
+                      inertia_by_descartes, random_unimodular, restrict_form,
+                      transpose)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
