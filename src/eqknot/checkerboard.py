@@ -17,9 +17,12 @@ from .lattice import GramLattice, Matrix, _Frozen, signature
 
 class CheckerboardGraph(_Frozen):
     """A connected signed multigraph: vertices 0..vertex_count-1 and edges
-    (u, v, w) with u != v and weight w = +1 or -1, all ints (not bools)."""
+    (u, v, w) with u != v and weight w = +1 or -1, all ints (not bools).
+    `gl_lattice` keeps the lattices it builds in the private slot `_gl`,
+    by dropped vertex, so their kept inertia is shared."""
 
-    __slots__ = _fields = ("vertex_count", "edges", "name")
+    __slots__ = ("vertex_count", "edges", "name", "_gl")
+    _fields = ("vertex_count", "edges", "name")
 
     def __init__(self, vertex_count: int, edges: Sequence[Sequence[int]],
                  name: Optional[str] = None):
@@ -43,6 +46,7 @@ class CheckerboardGraph(_Frozen):
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(frozen))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_gl", {})
         if not self._connected():
             raise ValueError("checkerboard graph must be connected")
 
@@ -160,10 +164,15 @@ def gl_full_form(g: CheckerboardGraph) -> GramLattice:
 def gl_lattice(g: CheckerboardGraph,
                dropped_vertex: Optional[int] = None) -> GramLattice:
     """The Gordon-Litherland lattice on H_1 of the checkerboard surface:
-    the full form with one vertex's row and column deleted. Rank n-1."""
+    the full form with one vertex's row and column deleted. Rank n-1.
+    Built once per graph and dropped vertex (kept in `g._gl`)."""
     keep = _kept_vertices(g.vertex_count, dropped_vertex)
-    full = _gl_matrix(g)
-    return GramLattice([[full[i][j] for j in keep] for i in keep])
+    dropped = g.vertex_count - 1 if dropped_vertex is None else dropped_vertex
+    if dropped not in g._gl:
+        full = _gl_matrix(g)
+        g._gl[dropped] = GramLattice([[full[i][j] for j in keep]
+                                      for i in keep])
+    return g._gl[dropped]
 
 
 def _kept_vertices(n: int, dropped_vertex: Optional[int]) -> list[int]:

@@ -30,7 +30,7 @@ from .checkerboard import (CheckerboardGraph, SymmetrySpec, gl_lattice,
 from .embedsearch import (ObstructionReport, donaldson_obstruction,
                           enumerate_embeddings, orbit_classes)
 from .gsignature import gsig_involution, gsig_periodic
-from .lattice import GramLattice, is_positive_definite
+from .lattice import GramLattice, _ints, is_positive_definite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -274,7 +274,7 @@ def _load_gram(path: str, involution: bool = False
         M = raw[key]
         if not (isinstance(M, list) and all(
                 isinstance(row, list) and len(row) == len(M)
-                and set(map(type, row)) <= {int} for row in M)):
+                and _ints(row) for row in M)):
             raise CaseError("SCHEMA",
                             f"'{key}' must be a square integer matrix")
     if involution and len(raw["involution"]) != len(raw["gram"]):

@@ -16,7 +16,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry
-from .lattice import (GramLattice, Matrix, _as_matrix, _Frozen,
+from .lattice import (GramLattice, Matrix, _as_matrix, _Frozen, _ints,
                       is_positive_definite, mat_mul)
 
 
@@ -31,7 +31,7 @@ class Embedding(_Frozen):
         rows = tuple([tuple(row) for row in matrix])
         if len(rows) != k:
             raise ValueError("embedding matrix must have k rows")
-        if not all(type(x) is int for row in rows for x in row):
+        if not all(map(_ints, rows)):
             raise ValueError("embedding entries must be ints")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
@@ -50,7 +50,7 @@ class SignedPermutation(_Frozen):
     def __init__(self, perm: Sequence[int], signs: Sequence[int]):
         perm = tuple(perm)
         signs = tuple(signs)
-        if any(type(x) is not int for x in perm + signs):
+        if not _ints(perm + signs):
             raise ValueError("perm and signs must be ints")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
@@ -222,8 +222,12 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     The norm G[j][j] of column j is the sum of the squares of its
     entries, so E has at most tr(G) nonzero rows, and canonical rows put
     them first: the search runs in Z^n, n = min(k, tr(G)), and pads with
-    zero rows. It places the column of largest norm first (the lowest
-    index on ties) and the others in their given order. The canonical
+    zero rows. As G has rank m, E has at least m nonzero rows, so there
+    is no embedding when n < m; when n = m those rows form a square E'
+    with det G = det(E')^2, so there is none when det G (kept by
+    `signature`) is not a square. Both cases return before any search.
+    It places the column of largest norm first (the lowest index on
+    ties) and the others in their given order. The canonical
     candidates for that first column are the partitions of its norm into
     squares, (-a_1, ..., -a_t, 0, ..., 0) with a_1 >= ... >= a_t > 0.
     Each such vector v seeds one list of live candidates per later
@@ -248,6 +252,8 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     if m == 0:
         return EmbeddingSet([(Embedding(k, ((),) * k), 1)])
     n = min(k, sum(g[j][j] for j in range(m)))
+    if n < m or (n == m and math.isqrt(G._det) ** 2 != G._det):
+        return EmbeddingSet([])
     first = max(range(m), key=lambda j: g[j][j])
     order = [first] + [j for j in range(m) if j != first]
     gp = [[g[a][b] for b in order] for a in order]

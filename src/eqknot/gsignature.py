@@ -47,7 +47,7 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
     if any(GR[j].get(i) != x for i, row in enumerate(GR)
            for j, x in row.items()):
         raise ValueError("R does not preserve the form")
-    trace = int(sum(Rm[i][i] for i in range(n)))
+    trace = sum(Rm[i][i] for i in range(n))
     dp, dm = (n + trace) // 2, (n - trace) // 2
 
     def sigma_of(eps):  # sigma(G + eps*G R), the eps-eigenspace signature
@@ -60,7 +60,7 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
                 else:
                     del row[j]
             rows.append(row)
-        return _inertia(rows).sigma
+        return _inertia(rows)[0].sigma
 
     sp = sigma_of(1) if dp else 0
     sm = sigma_of(-1) if dm else 0

@@ -1,12 +1,13 @@
-"""Exact symmetric bilinear forms: inertia and definiteness.
+"""Exact symmetric bilinear forms: inertia, determinant and definiteness.
 
-All arithmetic is exact; no floating point is used anywhere. Entries are
-Python ints, or fractions.Fraction where a form or map is rational.
-`signature` eliminates fraction-free on ints (a rational form is first
-scaled to an integer one), sparsely: rows are dicts of nonzero entries,
-pivots go in minimum-degree order, and only a pivot's neighbours are
-rewritten, each row keeping the scale at which it last was, so a row
-stored at scale s holds its current entries times s/prev.
+All arithmetic is exact; no floating point is used anywhere. Every matrix
+held, a form (`GramLattice`) or an isometry (`_as_matrix`), has int
+entries: `_freeze` rejects floats, bools and Fractions, so there is no
+rational path. `signature` eliminates fraction-free, sparsely: rows are
+dicts of nonzero entries, pivots go in minimum-degree order, and only a
+pivot's neighbours are rewritten, each row keeping the scale at which it
+last was, so a row stored at scale s holds its current entries times
+s/prev.
 
 Public matrices are immutable tuples of tuples. Inside the package a
 matrix is also held as sparse rows, a list of {column: entry} dicts of
@@ -23,9 +24,7 @@ records are `typing.NamedTuple`s.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
-from math import lcm
 from typing import NamedTuple, Sequence
 
 Matrix = tuple[tuple, ...]
@@ -33,19 +32,21 @@ Rows = list[dict]
 _INT = frozenset({int})
 
 
-def _clean(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+def _ints(row) -> bool:
+    """True iff every entry of row is an int, not a bool: the one entry
+    test of every matrix, embedding and signed permutation."""
+    return set(map(type, row)) <= _INT
 
 
 # Rows are built as tuple([...]), not tuple(genexpr): a tuple grown from
 # a generator is allocated outside CPython's per-size tuple free lists but
 # freed into them, so in a long-lived process those lists would fill.
 def _freeze(rows) -> Matrix:
-    return tuple([row if set(map(type, row)) <= _INT
-                  else tuple([_clean(x) for x in row])
-                  for row in map(tuple, rows)])
+    """rows as a tuple of int tuples; any other entry raises ValueError."""
+    M = tuple([tuple(row) for row in rows])
+    if not all(map(_ints, M)):
+        raise ValueError("matrix entries must be ints")
+    return M
 
 
 def _rows(A) -> Rows:
@@ -123,15 +124,13 @@ class _Frozen:
 
 
 class GramLattice(_Frozen):
-    """A symmetric bilinear form on a free module of finite rank.
-
-    Entries are integers for forms coming from checkerboard graphs, but
-    rational entries are allowed (restrictions to rational subspaces
-    produce them). `signature` keeps the inertia it computes in the
-    private slot `_sig`, which cannot go stale as the form is immutable.
+    """A symmetric bilinear form on a free module of finite rank, its
+    entries ints (not bools); there are no rational forms. `signature`
+    keeps the inertia and determinant it computes in the private slots
+    `_sig` and `_det`, which cannot go stale as the form is immutable.
     """
 
-    __slots__ = ("gram", "_sig")
+    __slots__ = ("gram", "_sig", "_det")
     _fields = ("gram",)
 
     def __init__(self, gram: Sequence[Sequence]):
@@ -143,6 +142,7 @@ class GramLattice(_Frozen):
             raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_sig", None)
+        object.__setattr__(self, "_det", None)
 
     @property
     def rank(self) -> int:
@@ -166,26 +166,27 @@ def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     """Inertia of a symmetric form over the rationals. A form that is not
     a GramLattice is checked by building one; the elimination is
     `_inertia` on the sparse rows of the form, run once per GramLattice,
-    which keeps the result."""
+    which keeps the result and the determinant in `_det`."""
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     if G._sig is None:
-        object.__setattr__(G, "_sig", _inertia(_rows(G.gram)))
+        sig, det = _inertia(_rows(G.gram))
+        object.__setattr__(G, "_sig", sig)
+        object.__setattr__(G, "_det", det)
     return G._sig
 
 
-def _inertia(rows: Rows) -> SignatureTriple:
-    """Inertia of the symmetric matrix with these sparse rows, which it
-    consumes; nothing checks that they are symmetric.
+def _inertia(rows: Rows) -> tuple[SignatureTriple, int]:
+    """Inertia and determinant of the symmetric int matrix with these
+    sparse rows, which it consumes; nothing checks that they are symmetric.
 
-    Sparse fraction-free (Bareiss) symmetric elimination on Python ints;
-    a rational form is first scaled by the lcm of its denominators, which
-    as a positive scale keeps the inertia. The next pivot p is the
-    remaining index with a nonzero diagonal and the fewest nonzeros, the
-    lowest index on a tie, so a block sum costs its blocks. Each Bareiss
-    entry is a minor of the form (Sylvester's identity), the pivot d is
-    the leading principal minor D_k, and D_k / D_(k-1) is positive iff d
-    has the sign of prev, the previous d (1 at the start).
+    Sparse fraction-free (Bareiss) symmetric elimination on Python ints.
+    The next pivot p is the remaining index with a nonzero diagonal and
+    the fewest nonzeros, the lowest index on a tie, so a block sum costs
+    its blocks. Each Bareiss entry is a minor of the form (Sylvester's
+    identity), the pivot d is the leading principal minor D_k, and
+    D_k / D_(k-1) is positive iff d has the sign of prev, the previous d
+    (1 at the start).
 
     Scaling is lazy: only the neighbours of p are rewritten. Row r keeps
     s = scale[r], the prev in force when it was last rewritten; its
@@ -199,16 +200,13 @@ def _inertia(rows: Rows) -> SignatureTriple:
     of its first nonzero entry are brought to the current scale and row
     and column q are added to p, so the pivot is 2*M[p][q] != 0 and the
     hyperbolic pair gives (+1, -1). That congruence acts past the pivots,
-    so the entries stay minors. Rows left all zero add to n_zero.
+    so the entries stay minors. Rows left all zero add to n_zero. Pivot
+    order and that step are congruences by matrices of determinant +-1,
+    so the last pivot D_n is the determinant of the form, and it is 0
+    when a row is left all zero.
     """
     n = len(rows)
     rows = dict(enumerate(rows))
-    if not all(isinstance(x, int)
-               for row in rows.values() for x in row.values()):
-        m = lcm(*[Fraction(x).denominator
-                  for row in rows.values() for x in row.values()])
-        rows = {i: {j: int(Fraction(x) * m) for j, x in row.items()}
-                for i, row in rows.items()}
     scale = [1] * n
     n_pos = n_neg = 0
     prev = 1
@@ -254,7 +252,8 @@ def _inertia(rows: Rows) -> SignatureTriple:
             rows[r] = new
             scale[r] = d
         prev = d
-    return SignatureTriple(n_pos, n_neg, n - n_pos - n_neg)
+    n_zero = n - n_pos - n_neg
+    return SignatureTriple(n_pos, n_neg, n_zero), 0 if n_zero else prev
 
 
 def is_positive_definite(G: GramLattice | Sequence[Sequence]) -> bool:
@@ -264,6 +263,6 @@ def is_positive_definite(G: GramLattice | Sequence[Sequence]) -> bool:
 
 
 def _as_matrix(R) -> Matrix:
-    """The matrix of a LatticeIsometry, or a plain matrix, as a tuple of
-    rows. Entries stay exact: nothing is rounded or truncated."""
+    """The matrix of a LatticeIsometry, or a plain int matrix, as a tuple
+    of rows, checked by `_freeze`."""
     return _freeze(R.matrix if hasattr(R, "matrix") else R)

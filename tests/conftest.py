@@ -14,6 +14,11 @@ signed permutation built entry by entry, the eigenspaces of an
 involution by row reduction in Fraction, with the form restricted to
 them as B^T G B, and graph automorphisms by comparing Counters of
 normalised edges.
+
+The library holds only integer matrices. The oracles for rational forms
+and maps (`eigenspace_basis`, `restrict_form`, `dense_bareiss_inertia`,
+`char_poly`) work on plain matrices of ints and Fractions and never
+build a `GramLattice`.
 """
 
 import itertools
@@ -30,8 +35,8 @@ import pytest
 from eqknot import (CheckerboardGraph, Embedding, SignedPermutation,
                     enumerate_vectors)
 from eqknot.embedsearch import EmbeddingSet, _orbit_size
-from eqknot.lattice import (GramLattice, _as_matrix, _freeze,
-                            is_positive_definite, mat_mul)
+from eqknot.lattice import (GramLattice, _as_matrix, is_positive_definite,
+                            mat_mul)
 
 
 def char_poly(M):
@@ -77,18 +82,18 @@ def inertia_by_descartes(M):
 
 
 def dense_bareiss_inertia(G):
-    """(n_pos, n_neg, n_zero) by dense fraction-free symmetric Bareiss
-    elimination in index order: a zero pivot is swapped with a nonzero
-    diagonal entry further down, or else made nonzero by the
-    row/column-addition trick; trailing entries become
+    """(n_pos, n_neg, n_zero) of a symmetric matrix of ints and
+    Fractions, or of a GramLattice, by dense fraction-free symmetric
+    Bareiss elimination in index order, after scaling by the lcm of the
+    denominators (a positive scale keeps the inertia): a zero pivot is
+    swapped with a nonzero diagonal entry further down, or else made
+    nonzero by the row/column-addition trick; trailing entries become
     (d*x - c*y) // prev."""
-    gram = G.gram if isinstance(G, GramLattice) else GramLattice(G).gram
-    if all(isinstance(x, int) for row in gram for x in row):
-        M = [list(row) for row in gram]
-    else:
-        rows = [[Fraction(x) for x in row] for row in gram]
-        scale = lcm(*[x.denominator for row in rows for x in row])
-        M = [[int(x * scale) for x in row] for row in rows]
+    rows = [[Fraction(x) for x in row]
+            for row in (G.gram if isinstance(G, GramLattice) else G)]
+    assert rows == [list(col) for col in zip(*rows)], "not symmetric"
+    scale = lcm(*[x.denominator for row in rows for x in row])
+    M = [[int(x * scale) for x in row] for row in rows]
     # M is the trailing block still to be eliminated; its pivot is M[0][0]
     n_pos = n_neg = n_zero = 0
     prev = 1
@@ -170,11 +175,12 @@ def signed_perm_matrix(P):
 def eigenspace_basis(R, lam: int) -> list[tuple[Fraction, ...]]:
     """Basis of ker(R - lam*Id) over the rationals, for an involution R.
 
-    R may be a LatticeIsometry or a plain square matrix. lam is +1 or -1.
-    The basis is whatever the echelon-form kernel computation produces;
-    consumers (signature of the restricted form) are basis-independent.
+    R may be a LatticeIsometry or a plain square matrix of ints and
+    Fractions. lam is +1 or -1. The basis is whatever the echelon-form
+    kernel computation produces; consumers (the inertia of the restricted
+    form) are basis-independent.
     """
-    mat = _as_matrix(R)
+    mat = tuple(map(tuple, R.matrix if hasattr(R, "matrix") else R))
     n = len(mat)
     if lam not in (1, -1):
         raise ValueError("eigenvalue must be +1 or -1")
@@ -212,9 +218,11 @@ def eigenspace_basis(R, lam: int) -> list[tuple[Fraction, ...]]:
 
 
 def restrict_form(G: GramLattice | Sequence[Sequence],
-                  B: Sequence[Sequence]) -> GramLattice:
-    """The form pulled back to the span of the vectors in B, i.e. B^T G B."""
-    gram = G.gram if isinstance(G, GramLattice) else _freeze(G)
+                  B: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The form pulled back to the span of the vectors in B, i.e. B^T G B,
+    as a plain matrix of ints and Fractions (no GramLattice, which holds
+    only ints); `dense_bareiss_inertia` gives its inertia."""
+    gram = G.gram if isinstance(G, GramLattice) else G
     n = len(gram)
     for v in B:
         if len(v) != n:
@@ -224,7 +232,7 @@ def restrict_form(G: GramLattice | Sequence[Sequence],
     for i in range(m):
         Gv = [sum(gram[r][c] * B[i][c] for c in range(n)) for r in range(n)]
         out.append(tuple(sum(B[j][r] * Gv[r] for r in range(n)) for j in range(m)))
-    return GramLattice(out)
+    return tuple(out)
 
 
 def brute_force_embeddings(G, k):

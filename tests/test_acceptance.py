@@ -65,13 +65,15 @@ def test_criterion_2_9_40_pinned_genus():
 
 def test_criterion_3_9_46_gsignature():
     t0 = time.monotonic()
-    from conftest import eigenspace_basis, restrict_form
+    from conftest import dense_bareiss_inertia, eigenspace_basis, restrict_form
     plus = eigenspace_basis(TAU_946, 1)
     minus = eigenspace_basis(TAU_946, -1)
-    assert restrict_form(GRAM_946, plus).gram == ((-4, -2), (-2, -4))
-    assert restrict_form(GRAM_946, minus).gram == ((4, -2), (-2, 4))
+    assert restrict_form(GRAM_946, plus) == ((-4, -2), (-2, -4))
+    assert restrict_form(GRAM_946, minus) == ((4, -2), (-2, 4))
+    assert dense_bareiss_inertia(restrict_form(GRAM_946, plus)) == (0, 2, 0)
+    assert dense_bareiss_inertia(restrict_form(GRAM_946, minus)) == (2, 0, 0)
     rep = gsig_involution(GRAM_946, TAU_946)
-    assert rep.gsig == -4
+    assert (rep.sigma_plus, rep.sigma_minus, rep.gsig) == (-2, 2, -4)
     # n-fold equivariant connect sum: -4n, butterfly bound 2n
     G, R = GramLattice([]), []
     for n in range(1, 5):

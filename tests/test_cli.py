@@ -530,11 +530,15 @@ def test_bool_as_int_exit_2(command, doc, message, tmp_path, capsys):
     assert err.startswith("error SCHEMA") and message in err
 
 
-@pytest.mark.parametrize("command", ["obstruct", "embed"])
+@pytest.mark.parametrize("command", ["obstruct", "embed",
+                                     "positive_crossings", "batch"])
 def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
     # the NOT_DEFINITE pre-check and the guard in enumerate_embeddings
-    # share one elimination of G; the case states sigma, not
-    # positive_crossings, so parsing eliminates nothing
+    # share one elimination of G. The first two cases state sigma, not
+    # positive_crossings, so parsing eliminates nothing; the last two
+    # read the fixture, whose positive_crossings make parse_case compute
+    # sigma from the same lattice, as gl_lattice builds one per graph and
+    # dropped vertex
     from eqknot import gl_lattice
     doc = json.loads(NINE_40.read_text())
     del doc["positive_crossings"]
@@ -543,11 +547,14 @@ def test_definiteness_eliminates_once(command, tmp_path, inertia_calls):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps(
         gl_lattice(parse_case(doc).graph).gram))
-    argv = (["obstruct", str(case)] if command == "obstruct"
-            else ["embed", "--gram", str(gram), "--k", "6"])
+    argv = {"obstruct": ["obstruct", str(case)],
+            "embed": ["embed", "--gram", str(gram), "--k", "6"],
+            "positive_crossings": ["obstruct", str(NINE_40)],
+            "batch": ["batch", str(FIXTURES)]}[command]
     code, out = run(argv + ["--json"])
     assert code == 0
-    assert json.loads(out)["class_count"] == 2
+    doc = json.loads(out.splitlines()[0] if command == "batch" else out)
+    assert doc.get("class_count", doc.get("classes")) == 2
     assert inertia_calls == [4]
 
 
@@ -678,6 +685,26 @@ def test_astronomical_sigma_keeps_exit_contract(tmp_path):
     done = run_limited(["obstruct", str(p)])
     assert done.returncode in (0, 2, 3)
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="the order that delta must have "
+                   "is SymmetrySpec.order, 3, but R = -rho(perm) has "
+                   "order 6, and delta^3 = I would force R^3 = I, so no "
+                   "class can have such a delta whatever the lattice; "
+                   "obstruct still reports that as obstructed")
+def test_impossible_delta_order_is_no_obstruction(tmp_path):
+    # C3 rotated, periodic of order 3, lift sign -1 (ROADMAP item 12):
+    # any correct answer (no verdict, an exit-3 hypothesis error, or a
+    # delta of R's own order) makes no obstruction claim
+    p = tmp_path / "c3.json"
+    p.write_text(json.dumps({
+        "name": "C3", "vertices": 3,
+        "edges": [[0, 1, -1], [1, 2, -1], [2, 0, -1]],
+        "symmetry": {"vertex_perm": [1, 2, 0], "order": 3,
+                     "kind": "periodic", "lift_sign": -1},
+        "sigma": -2}))
+    _, out = run(["obstruct", str(p)])
+    assert "obstructed: True" not in out
 
 
 def test_huge_symmetry_order_answers_at_once(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
 from eqknot.embedsearch import _orbit_size
 from eqknot.lattice import mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
-                      conjugate, delta_over_all_zero_rows,
+                      char_poly, conjugate, delta_over_all_zero_rows,
                       dense_bareiss_inertia, dense_mat_mul,
                       exhaustive_delta_exists, identity,
                       orbit_size_by_factorials, pool_embedding_classes,
@@ -132,6 +133,79 @@ class TestAgainstPoolSearch:
                     self.same_classes(G, k)
 
 
+class TestDeterminantExit:
+    # with m the rank and n = min(k, tr G): no embedding when n < m, and
+    # when n = m none unless det G is a square; both are answered before
+    # the search, which starts from `_first_columns`, ever starts
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The norms of the first columns of the searches started, one
+        entry per call of `embedsearch._first_columns`."""
+        import eqknot.embedsearch as embedsearch
+        calls = []
+        first_columns = embedsearch._first_columns
+
+        def counted(norm, n):
+            calls.append(norm)
+            return first_columns(norm, n)
+
+        monkeypatch.setattr(embedsearch, "_first_columns", counted)
+        return calls
+
+    @staticmethod
+    def check(G, k, searches):
+        """enumerate_embeddings against the pool search, which has no
+        exit; returns whether a search started."""
+        before = len(searches)
+        got = enumerate_embeddings(G, k)
+        want = pool_embedding_classes(G, k)
+        assert got.classes == want.classes, (G, k)
+        assert got.count == want.count
+        return len(searches) > before
+
+    def test_random_grams_at_their_rank(self, rng, searches):
+        # G = E^T E for seeded random E with m columns and m to m + 2
+        # rows: square E gives a square det G, taller E often does not.
+        # Into Z^m a search starts iff det G is a square, and into
+        # Z^(m-1) never
+        kinds = Counter()
+        while min(kinds[True], kinds[False]) < 50:
+            m = rng.randint(1, 5)
+            E = [[rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2))
+                  for _ in range(m)] for _ in range(rng.randint(m, m + 2))]
+            gram = [[sum(r[i] * r[j] for r in E) for j in range(m)]
+                    for i in range(m)]
+            if (sum(gram[j][j] for j in range(m)) > 10
+                    or dense_bareiss_inertia(gram) != (m, 0, 0)):
+                continue
+            det = int((-1) ** m * char_poly(gram)[m])
+            square = math.isqrt(det) ** 2 == det
+            assert self.check(gram, m, searches) == square
+            assert not self.check(gram, m - 1, searches)
+            kinds[square] += 1
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_k_minus_edge_at_its_rank(self, n, searches):
+        # det G counts the spanning trees of K_n minus an edge,
+        # n^(n-3) (n-2): a square only for n = 3
+        G = gl_lattice(CheckerboardGraph(n, TestKMinusEdgeLadder.edges(n)))
+        assert G.rank == n - 1
+        assert self.check(G, n - 1, searches) == (n == 3)
+        assert not self.check(G, n - 2, searches)
+
+    def test_k9_minus_edge_at_k8_skips_the_search(self, searches):
+        # det G = 9^6 * 7 is not a square, so no embedding into Z^8, and
+        # no first column is listed
+        G = gl_lattice(CheckerboardGraph(9, TestKMinusEdgeLadder.edges(9)))
+        embs = enumerate_embeddings(G, 8)
+        assert embs.classes == () and embs.count == 0
+        assert searches == []
+        assert enumerate_embeddings(gl_lattice(CheckerboardGraph(
+            3, TestKMinusEdgeLadder.edges(3))), 2).count == 8
+        assert searches == [1]
+
+
 class TestEnumerateEmbeddings:
     def test_rank_one(self):
         # (1) and (-1): one class of orbit size 2
@@ -149,6 +223,12 @@ class TestEnumerateEmbeddings:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             enumerate_embeddings([[0, 1], [1, 0]], 2)
+
+    @pytest.mark.parametrize("gram", [
+        [[2.0, 1], [1, 2.0]], [[True]], [[Fraction(2)]]])
+    def test_rejects_non_int_entries(self, gram):
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            enumerate_embeddings(gram, 3)
 
     def test_gram_postcondition(self):
         G = GramLattice([[2, 1], [1, 2]])
@@ -381,10 +461,14 @@ class TestEquivariantDelta:
         assert signed_perm_matrix(d) == ((0, 1), (1, 0))
 
     def test_fractional_isometry_not_truncated(self):
-        # truncating 1/2 to 0 would give R = Id, matched by delta = Id
+        # truncating 1/2 to 0 would give R = Id, matched by delta = Id;
+        # an isometry must have int entries, so R is rejected
         E = Embedding(2, [(1, 0), (0, 1)])
-        R = [[1, Fraction(1, 2)], [0, 1]]
-        assert equivariant_delta(E, R, 1) is None
+        for R in ([[1, Fraction(1, 2)], [0, 1]], [[1, 0.5], [0, 1]],
+                  [[1, 0], [0, Fraction(1)]], [[True, 0], [0, 1]]):
+            with pytest.raises(ValueError,
+                               match="^matrix entries must be ints$"):
+                equivariant_delta(E, R, 1)
 
     def test_order_constraint_strict(self):
         E = Embedding(2, [(1, 0), (0, 1)])

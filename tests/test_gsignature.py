@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,8 +8,9 @@ from eqknot import (CheckerboardGraph, GramLattice, SymmetrySpec,
                     gsig_involution, gsig_periodic, induced_isometry,
                     signature)
 from eqknot.lattice import mat_mul
-from conftest import (block_sum, conjugate, dense_mat_mul, eigenspace_basis,
-                      identity, random_unimodular, restrict_form, transpose)
+from conftest import (block_sum, conjugate, dense_bareiss_inertia,
+                      dense_mat_mul, eigenspace_basis, identity,
+                      random_unimodular, restrict_form, transpose)
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -71,7 +73,7 @@ class TestInvolution:
     @pytest.mark.parametrize("G, R, message", [
         (GRAM_946, [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0],
                     [0, 0, 0, 1]], "R is not an involution"),
-        ([[1, 0], [0, 1]], [[0, 2], [Fraction(1, 2), 0]],
+        ([[1, 0], [0, 1]], [[1, 0], [2, -1]],
          "R does not preserve the form"),
     ])
     def test_rejection_messages(self, G, R, message):
@@ -107,16 +109,31 @@ class TestInvolution:
         assert 100 < sum(verdicts) < 500
 
     def test_rational_form_matches_scaled_integer_form(self, rng):
-        # a positive scale keeps every inertia, so G/c with R gives the
-        # report of G with R
+        # a rational form G/c is rejected; a positive scale keeps every
+        # inertia, so the integer form c*G with R gives the report of G
         for _ in range(100):
             G, S = _random_pair(rng, max_n=6)
             c = rng.randint(2, 7)
             scaled = [[Fraction(x, c) for x in row] for row in G.gram]
-            assert gsig_involution(scaled, S) == gsig_involution(G, S)
+            with pytest.raises(ValueError,
+                               match="^matrix entries must be ints$"):
+                gsig_involution(scaled, S)
+            multiple = [[c * x for x in row] for row in G.gram]
+            assert gsig_involution(multiple, S) == gsig_involution(G, S)
         rational = [[Fraction(x, 6) for x in row] for row in GRAM_946]
-        assert gsig_involution(rational, TAU_946) == gsig_involution(
-            GRAM_946, TAU_946)
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            gsig_involution(rational, TAU_946)
+
+    @pytest.mark.parametrize("G, R", [
+        ([[2.5, 0], [0, 1]], [[1, 0], [0, -1]]),
+        ([[True, 0], [0, 1]], [[1, 0], [0, -1]]),
+        ([[1, 0], [0, 1]], [[0, 2], [Fraction(1, 2), 0]]),
+        ([[1, 0], [0, 1]], [[1, 0], [0, -1.0]]),
+        ([[1, 0], [0, 1]], [[True, 0], [0, -1]]),
+    ])
+    def test_non_int_entries(self, G, R):
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            gsig_involution(G, R)
 
     def test_fractional_entry_not_truncated(self):
         # truncating 1/2 to 0 would make this the identity, an involution
@@ -228,6 +245,17 @@ def _reflected_cycle(rng, n, fixed_vertex):
     return CheckerboardGraph(n, edges), perm
 
 
+def _by_definition(G, R):
+    """sigma(G | ker(R - I)), sigma(G | ker(R + I)) and the dimensions of
+    those kernels, from rational bases and the dense inertia oracle."""
+    bases = eigenspace_basis(R, 1), eigenspace_basis(R, -1)
+    sigmas = []
+    for B in bases:
+        n_pos, n_neg, _ = dense_bareiss_inertia(restrict_form(G, B))
+        sigmas.append(n_pos - n_neg)
+    return (*sigmas, tuple(map(len, bases)))
+
+
 class TestAgainstEigenspaceRestriction:
     """gsig_involution against the definition: the signatures of G
     restricted to rational bases of ker(R - I) and ker(R + I), and the
@@ -236,12 +264,10 @@ class TestAgainstEigenspaceRestriction:
     @staticmethod
     def _check(G, R):
         rep = gsig_involution(G, R)
-        plus, minus = eigenspace_basis(R, 1), eigenspace_basis(R, -1)
-        sp = signature(restrict_form(G, plus)).sigma
-        sm = signature(restrict_form(G, minus)).sigma
+        sp, sm, dims = _by_definition(G, R)
         assert (rep.sigma_plus, rep.sigma_minus) == (sp, sm)
         assert rep.gsig == sp - sm
-        assert rep.dims == (len(plus), len(minus))
+        assert rep.dims == dims
         assert all(type(d) is int for d in rep.dims)
         return rep
 
@@ -298,8 +324,10 @@ class TestAgainstEigenspaceRestriction:
     def test_rational_involution(self, rng):
         # R = S E S^-1 and G = S^-T D S^-1 with E, D diagonal: R is a
         # rational involution preserving G, with eigenvectors the columns
-        # of S, on which G is D
-        done = 0
+        # of S, on which G is D. gsig_involution rejects these rational
+        # matrices; when R is integral it gives the same report on c*G,
+        # c the lcm of the denominators of G
+        done = integral = 0
         while done < 30:
             n = rng.randint(1, 4)
             S = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
@@ -312,12 +340,22 @@ class TestAgainstEigenspaceRestriction:
                                     for i in range(n)]), Si)
             G = conjugate(Si, [[D[i] * (i == j) for j in range(n)]
                                for i in range(n)])
-            rep = self._check(G, R)
             sign = [(d > 0) - (d < 0) for d in D]
-            assert rep.sigma_plus == sum(s for s, e in zip(sign, E) if e == 1)
-            assert rep.sigma_minus == sum(s for s, e in zip(sign, E) if e == -1)
-            assert rep.dims == (E.count(1), E.count(-1))
+            expected = (sum(s for s, e in zip(sign, E) if e == 1),
+                        sum(s for s, e in zip(sign, E) if e == -1),
+                        (E.count(1), E.count(-1)))
+            assert _by_definition(G, R) == expected
+            with pytest.raises(ValueError,
+                               match="^matrix entries must be ints$"):
+                gsig_involution(G, R)
+            if all(Fraction(x).denominator == 1 for row in R for x in row):
+                c = lcm(*[Fraction(x).denominator for row in G for x in row])
+                rep = self._check([[int(c * x) for x in row] for row in G],
+                                  [[int(x) for x in row] for row in R])
+                assert (rep.sigma_plus, rep.sigma_minus, rep.dims) == expected
+                integral += 1
             done += 1
+        assert integral
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank"):

@@ -9,7 +9,7 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     SignedPermutation, SymmetrySpec, is_positive_definite,
                     signature)
 from eqknot.lattice import _freeze, _row_mul, _rows, mat_mul
-from conftest import (block_sum, conjugate, dense_bareiss_inertia,
+from conftest import (block_sum, char_poly, conjugate, dense_bareiss_inertia,
                       dense_mat_mul, eigenspace_basis, identity,
                       inertia_by_descartes, random_unimodular, restrict_form,
                       transpose)
@@ -102,14 +102,38 @@ class TestSignature:
     @pytest.mark.parametrize("kind", ["dense", "zero_diagonal", "low_rank",
                                       "hyperbolic", "fraction"])
     def test_differential_descartes(self, rng, kind):
-        # fraction-free elimination vs char-poly Descartes, n <= 9
+        # fraction-free elimination vs char-poly Descartes, n <= 9; a
+        # rational form is rejected, and its integer multiple 12*M, which
+        # as a positive scale keeps the inertia, is eliminated instead
         for _ in range(80):
             M = self._random_form(rng, kind)
-            s = signature(M)
-            assert (s.n_pos, s.n_neg, s.n_zero) == inertia_by_descartes(M), M
+            expected = inertia_by_descartes(M)
             if kind == "fraction":
-                # a positive scale keeps the inertia
-                assert signature([[12 * x for x in row] for row in M]) == s
+                if any(type(x) is Fraction for row in M for x in row):
+                    with pytest.raises(ValueError,
+                                       match="^matrix entries must be ints$"):
+                        signature(M)
+                M = [[int(12 * x) for x in row] for row in M]
+            s = signature(M)
+            assert (s.n_pos, s.n_neg, s.n_zero) == expected, M
+
+    @pytest.mark.parametrize("kind", ["dense", "zero_diagonal", "low_rank",
+                                      "hyperbolic"])
+    def test_determinant_is_the_last_pivot(self, rng, kind):
+        # the determinant `signature` keeps against the constant term of
+        # det(xI - M), which is det(-M) = (-1)^n det M
+        for _ in range(80):
+            M = self._random_form(rng, kind)
+            G = GramLattice(M)
+            s = signature(G)
+            n = len(M)
+            assert G._det == (-1) ** n * char_poly(M)[n], M
+            assert (G._det == 0) == (s.n_zero > 0)
+        for M, det in (([], 1), ([[0, 1], [1, 0]], -1), ([[0, 0], [0, 0]], 0),
+                       (GRAM_946, 9), (GRAM_940_QUOTIENT, 75)):
+            G = GramLattice(M)
+            signature(G)
+            assert G._det == det
 
     def test_congruence_invariance(self, rng):
         for _ in range(200):
@@ -240,24 +264,37 @@ class TestGramLatticeRejects:
 
     @pytest.mark.parametrize("gram", [
         [[0, 1], [2, 0]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]],
-        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]], [[1, True], [0, 1]]])
+        [[1, 2], [3, 1]], [[1, 1], [0, 1]]])
     def test_asymmetric(self, gram):
         with pytest.raises(ValueError,
                            match="^gram matrix must be symmetric$"):
             GramLattice(gram)
 
+    @pytest.mark.parametrize("gram", [
+        [[0.1]], [[True, 0], [0, 1]], [[2.0, 1], [1, 2]],
+        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]], [[1, True], [0, 1]],
+        [[Fraction(2)]]])
+    def test_non_int_entries(self, gram):
+        # floats, bools and Fractions, even integral or asymmetric ones
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            GramLattice(gram)
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            signature(gram)
+
     def test_symmetric_across_entry_types(self):
-        G = GramLattice([[1, Fraction(2, 2)], [1, Fraction(1, 2)]])
-        assert G.gram == ((1, 1), (1, Fraction(1, 2)))
+        # symmetric as values (Fraction(2, 2) == 1), rejected for the type
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            GramLattice([[1, Fraction(2, 2)], [1, Fraction(1, 2)]])
         assert GramLattice([]).gram == ()
 
 
 def test_freeze_entries():
-    M = _freeze([[Fraction(4, 2), Fraction(1, 2)], [True, -3]])
-    assert M == ((2, Fraction(1, 2)), (True, -3))
-    assert type(M[0][0]) is int
-    assert type(M[0][1]) is Fraction
-    assert M[1][0] is True
+    M = _freeze([[2, -1], (-1, 3)])
+    assert M == ((2, -1), (-1, 3)) and type(M[1]) is tuple
+    assert _freeze([]) == ()
+    for bad in (Fraction(4, 2), Fraction(1, 2), True, 2.0, None, "1"):
+        with pytest.raises(ValueError, match="^matrix entries must be ints$"):
+            _freeze([[1, 0], [bad, -3]])
 
 
 class TestDefiniteness:
@@ -347,24 +384,29 @@ class TestRestrictForm:
     def test_standard_basis(self):
         G = GramLattice(GRAM_946)
         B = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        assert restrict_form(G, B).gram == G.gram
+        assert restrict_form(G, B) == G.gram
 
     def test_946_plus_restriction(self):
         B = [(1, -1, 0, 0), (0, 0, 1, -1)]
-        assert restrict_form(GRAM_946, B).gram == ((-4, -2), (-2, -4))
+        assert restrict_form(GRAM_946, B) == ((-4, -2), (-2, -4))
 
     def test_946_minus_restriction(self):
         B = [(1, 1, 0, 0), (0, 0, 1, 1)]
-        assert restrict_form(GRAM_946, B).gram == ((4, -2), (-2, 4))
+        assert restrict_form(GRAM_946, B) == ((4, -2), (-2, 4))
 
     def test_eigenbases_block_diagonalize(self):
         plus = eigenspace_basis(TAU_946, 1)
         minus = eigenspace_basis(TAU_946, -1)
-        both = restrict_form(GRAM_946, plus + minus).gram
+        both = restrict_form(GRAM_946, plus + minus)
         p = len(plus)
         for i in range(p):
             for j in range(p, p + len(minus)):
                 assert both[i][j] == 0
+        # the blocks carry the inertia of G: (0, 2, 0) on ker(R - I) and
+        # (2, 0, 0) on ker(R + I)
+        assert dense_bareiss_inertia([row[:p] for row in both[:p]]) == (0, 2, 0)
+        assert dense_bareiss_inertia([row[p:] for row in both[p:]]) == (2, 0, 0)
+        assert dense_bareiss_inertia(both) == tuple(signature(GRAM_946))
 
 
 def _dense_mul(A, B, m):
@@ -485,7 +527,7 @@ class TestInertiaKept:
 
 
 def _values():
-    return [GramLattice([[2, -1], [-1, Fraction(3, 2)]]),
+    return [GramLattice([[2, -1], [-1, 3]]),
             CheckerboardGraph(2, [(0, 1, -1)], name="c2"),
             CheckerboardGraph(3, [[0, 1, 1], [1, 2, -1]]),
             SymmetrySpec([1, 0], 2),
@@ -501,7 +543,7 @@ class TestValueTypes:
 
     def test_repr(self):
         assert [repr(v) for v in _values()] == [
-            "GramLattice(gram=((2, -1), (-1, Fraction(3, 2))))",
+            "GramLattice(gram=((2, -1), (-1, 3)))",
             "CheckerboardGraph(vertex_count=2, edges=((0, 1, -1),), "
             "name='c2')",
             "CheckerboardGraph(vertex_count=3, edges=((0, 1, 1), "
