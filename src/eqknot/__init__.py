@@ -15,15 +15,15 @@ from .embedsearch import (Embedding, EmbeddingSet, ObstructionReport,
                           equivariant_delta, orbit_classes)
 from .gsignature import (GSignatureReport, gsig_direct_sum, gsig_involution,
                          gsig_periodic)
-from .lattice import (GramLattice, SignatureTriple, is_positive_definite,
-                      signature)
+from .lattice import (GramLattice, HypothesisError, InputError,
+                      SignatureTriple, is_positive_definite, signature)
 
 __all__ = [
     "BoundsInput", "BoundsReport", "CheckerboardGraph", "Embedding",
-    "EmbeddingSet",    "GSignatureReport", "GramLattice", "LatticeIsometry",
-    "ObstructionReport", "SignatureTriple", "SignedPermutation",
-    "SymmetrySpec", "aggregate", "canonical_form", "crossing_change_upper",
-    "donaldson_obstruction", "enumerate_embeddings",
+    "EmbeddingSet", "GSignatureReport", "GramLattice", "HypothesisError",
+    "InputError", "LatticeIsometry", "ObstructionReport", "SignatureTriple",
+    "SignedPermutation", "SymmetrySpec", "aggregate", "canonical_form",
+    "crossing_change_upper", "donaldson_obstruction", "enumerate_embeddings",
     "enumerate_vectors", "equivariant_delta", "gl_full_form", "gl_lattice",
     "gsig_direct_sum", "gsig_genus_bound", "gsig_involution",
     "gsig_periodic", "gsig_periodic_bound", "induced_isometry",

@@ -7,15 +7,11 @@ the report layer, since the genus itself is an integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 from typing import NamedTuple, Optional
 
 from .embedsearch import ObstructionReport
 from .gsignature import gsig_periodic
-
-
-def _ceil(x: Fraction | int) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 class BoundsInput(NamedTuple):
@@ -93,7 +89,7 @@ def aggregate(inp: BoundsInput,
 
     def add_lower(name: str, value: Fraction | int):
         v = Fraction(value)
-        lowers.append(LowerBound(name, v, _ceil(v)))
+        lowers.append(LowerBound(name, v, ceil(v)))
 
     if (inp.period_n is not None and inp.sigma_K is not None
             and inp.sigma_quotient is not None):

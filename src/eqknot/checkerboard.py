@@ -12,7 +12,8 @@ from math import lcm
 from operator import index
 from typing import NamedTuple, Optional, Sequence
 
-from .lattice import GramLattice, Matrix, _Frozen, signature
+from .lattice import (GramLattice, InputError, Matrix, _Frozen, _ints,
+                      signature)
 
 
 class CheckerboardGraph(_Frozen):
@@ -39,7 +40,7 @@ class CheckerboardGraph(_Frozen):
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge endpoint must be an integer: {e}")
             if u == v:
-                raise ValueError(f"loop edge not allowed: {e}")
+                raise InputError("LOOP_EDGE", f"loop edge not allowed: {e}")
             if type(w) is not int or w not in (1, -1):
                 raise ValueError(f"edge weight must be +1 or -1: {e}")
             frozen.append((u, v, w))
@@ -179,8 +180,8 @@ def _kept_vertices(n: int, dropped_vertex: Optional[int]) -> list[int]:
     """The vertices other than the dropped one, by default the last."""
     if dropped_vertex is None:
         dropped_vertex = n - 1
-    if not (0 <= dropped_vertex < n):
-        raise ValueError("dropped_vertex out of range")
+    if not (_ints((dropped_vertex,)) and 0 <= dropped_vertex < n):
+        raise InputError("SCHEMA", f"dropped_vertex out of range 0 to {n - 1}")
     return [i for i in range(n) if i != dropped_vertex]
 
 
@@ -237,8 +238,8 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:
     """Signature via the Gordon-Litherland formula:
     sigma(K) = sigma(GL lattice) - (number of positive crossings)."""
-    if positive_crossings < 0:
-        raise ValueError("positive_crossings must be non-negative")
-    if positive_crossings > len(g.edges):
-        raise ValueError("positive_crossings exceeds crossing count")
+    if not (_ints((positive_crossings,))
+            and 0 <= positive_crossings <= len(g.edges)):
+        raise InputError("SCHEMA", "'positive_crossings' must be an integer "
+                         f"from 0 to {len(g.edges)}")
     return signature(gl_lattice(g)).sigma - positive_crossings

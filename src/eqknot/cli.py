@@ -11,8 +11,12 @@ Case file schema (JSON object):
   bounds: optional object with BoundsInput fields
 
 Exit codes: 0 computed (any verdict), 2 input error, 3 theorem hypothesis
-unmet (e.g. the lattice is not positive definite). Obstruction verdicts are
-data, not exit statuses.
+unmet. Obstruction verdicts are data, not exit statuses. Each error is a
+`lattice.InputError` raised where its rule is checked, here or in the
+library; `main` prints "error CODE: message", `batch` a "CODE: message"
+row. Exit 2: IO, SCHEMA, LOOP_EDGE, NOT_AUTOMORPHISM, SIGMA_MISMATCH,
+MISSING_SIGMA. Exit 3, a `lattice.HypothesisError`: NOT_DEFINITE,
+POSITIVE_SIGMA, NOT_INVOLUTION.
 """
 
 from __future__ import annotations
@@ -30,30 +34,12 @@ from .checkerboard import (CheckerboardGraph, SymmetrySpec, gl_lattice,
 from .embedsearch import (ObstructionReport, donaldson_obstruction,
                           enumerate_embeddings, orbit_classes)
 from .gsignature import gsig_involution, gsig_periodic
-from .lattice import GramLattice, _ints, is_positive_definite
+from .lattice import (GramLattice, HypothesisError, InputError, _ints,
+                      is_positive_definite)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
-
-
-class CaseError(Exception):
-    """Input validation failure with a machine-readable code."""
-
-    exit_code = EXIT_INPUT
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-    def __str__(self):
-        return f"{self.code}: {self.args[0]}"
-
-
-class HypothesisError(CaseError):
-    """A theorem hypothesis is not met; the computation does not apply."""
-
-    exit_code = EXIT_HYPOTHESIS
 
 
 class KnotCase(NamedTuple):
@@ -71,70 +57,63 @@ class KnotCase(NamedTuple):
 def parse_case(doc) -> KnotCase:
     """Fully validate one decoded case document (see `_load`)."""
     if not isinstance(doc, dict):
-        raise CaseError("SCHEMA", "top level must be an object")
+        raise InputError("SCHEMA", "top level must be an object")
     for key in ("name", "vertices", "edges", "symmetry"):
         if key not in doc:
-            raise CaseError("SCHEMA", f"missing required field '{key}'")
+            raise InputError("SCHEMA", f"missing required field '{key}'")
     name = doc["name"]
     if not isinstance(name, str):
-        raise CaseError("SCHEMA", "'name' must be a string")
+        raise InputError("SCHEMA", "'name' must be a string")
+    # raw JSON values raise arbitrary errors inside the constructors, so
+    # they are wrapped; LOOP_EDGE keeps its own code
     try:
-        edges = [tuple(e) for e in doc["edges"]]
-        for u, v, w in edges:
-            if u == v:
-                raise CaseError("LOOP_EDGE",
-                                f"loop edge at vertex {u} not allowed")
-        graph = CheckerboardGraph(doc["vertices"], edges, name=name)
-    except CaseError:
+        graph = CheckerboardGraph(doc["vertices"],
+                                  [tuple(e) for e in doc["edges"]], name=name)
+    except InputError:
         raise
     except (TypeError, ValueError) as e:
-        raise CaseError("SCHEMA", f"bad graph: {e}") from e
+        raise InputError("SCHEMA", f"bad graph: {e}") from e
     sym = doc["symmetry"]
     if not isinstance(sym, dict):
-        raise CaseError("SCHEMA", "'symmetry' must be an object")
+        raise InputError("SCHEMA", "'symmetry' must be an object")
     try:
         spec = SymmetrySpec(sym["vertex_perm"], sym["order"],
                             sym.get("kind", "strong_inversion"),
                             sym.get("lift_sign", 1))
     except KeyError as e:
-        raise CaseError("SCHEMA", f"symmetry missing field {e}") from e
+        raise InputError("SCHEMA", f"symmetry missing field {e}") from e
     except (TypeError, ValueError) as e:
-        raise CaseError("SCHEMA", f"bad symmetry: {e}") from e
+        raise InputError("SCHEMA", f"bad symmetry: {e}") from e
+    # checked here, not left to induced_isometry: it must come before the
+    # sigma and definiteness errors
     if not is_automorphism(graph, spec.vertex_perm):
-        raise CaseError("NOT_AUTOMORPHISM",
-                        "vertex_perm does not preserve the weighted edges")
+        raise InputError("NOT_AUTOMORPHISM",
+                         "vertex_perm does not preserve the weighted edges")
     pc = doc.get("positive_crossings")
     sig = doc.get("sigma")
-    if sig is not None and not (_is_int(sig) and sig % 2 == 0):
-        raise CaseError("SCHEMA", "'sigma' must be an even integer")
+    if sig is not None and not (_ints((sig,)) and sig % 2 == 0):
+        raise InputError("SCHEMA", "'sigma' must be an even integer")
     if pc is not None:
-        if not (_is_int(pc) and 0 <= pc <= len(graph.edges)):
-            raise CaseError("SCHEMA", "'positive_crossings' must be an "
-                            f"integer from 0 to {len(graph.edges)}")
         implied = knot_signature(graph, pc)
         if sig is not None and implied != sig:
-            raise CaseError("SIGMA_MISMATCH",
-                            "supplied sigma disagrees with the "
-                            "Gordon-Litherland signature formula")
+            raise InputError("SIGMA_MISMATCH",
+                             "supplied sigma disagrees with the "
+                             "Gordon-Litherland signature formula")
         if implied % 2:
-            raise CaseError("SCHEMA", "'positive_crossings' gives an odd "
-                            "signature, so the diagram is not a knot")
+            raise InputError("SCHEMA", "'positive_crossings' gives an odd "
+                             "signature, so the diagram is not a knot")
         sig = implied
     extras = None
     if "bounds" in doc:
         b = doc["bounds"]
         if not isinstance(b, dict):
-            raise CaseError("SCHEMA", "'bounds' must be an object")
+            raise InputError("SCHEMA", "'bounds' must be an object")
         unknown = set(b) - set(BoundsInput._fields)
         if unknown:
-            raise CaseError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
+            raise InputError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
         extras = _bounds_input(b)
     return KnotCase(name=name, graph=graph, symmetry=spec,
                     positive_crossings=pc, sigma_K=sig, bounds_extras=extras)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _bounds_input(fields: dict) -> BoundsInput:
@@ -146,32 +125,20 @@ def _bounds_input(fields: dict) -> BoundsInput:
             try:
                 Fraction(value)
             except (ValueError, ZeroDivisionError):
-                raise CaseError("SCHEMA", "'gsig' is not an integer or a "
-                                f"fraction: {value!r}") from None
-        elif value is not None and not _is_int(value):
-            raise CaseError("SCHEMA", f"'{key}' must be an integer")
-    _check_period(fields.get("period_n"))
+                raise InputError("SCHEMA", "'gsig' is not an integer or a "
+                                 f"fraction: {value!r}") from None
+        elif value is not None and not _ints((value,)):
+            raise InputError("SCHEMA", f"'{key}' must be an integer")
+    # the period and move count are checked when parsed, even when no
+    # bound reads them
+    n = fields.get("period_n")
+    if n is not None and n < 2:
+        raise InputError("SCHEMA", f"the period must be >= 2, not {n}")
     moves = fields.get("equivariant_unknotting_moves")
     if moves is not None and moves < 0:
-        raise CaseError("SCHEMA",
-                        "'equivariant_unknotting_moves' must be >= 0")
+        raise InputError("SCHEMA",
+                         "'equivariant_unknotting_moves' must be >= 0")
     return BoundsInput(**fields)
-
-
-def _check_period(n: Optional[int]):
-    if n is not None and n < 2:
-        raise CaseError("SCHEMA", f"the period must be >= 2, not {n}")
-
-
-def _check_drop_vertex(case: KnotCase, v: Optional[int]):
-    n = case.graph.vertex_count
-    if v is not None and not 0 <= v < n:
-        raise CaseError("SCHEMA", f"--drop-vertex must be from 0 to {n - 1}")
-
-
-def _rational(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f}"
 
 
 def obstruction_to_dict(rep: ObstructionReport) -> dict:
@@ -193,7 +160,7 @@ def obstruction_to_dict(rep: ObstructionReport) -> dict:
 
 def bounds_to_dict(rep: BoundsReport) -> dict:
     return {
-        "lower_bounds": [{"name": b.name, "value": _rational(b.value),
+        "lower_bounds": [{"name": b.name, "value": str(b.value),
                           "ceiling": b.ceiling} for b in rep.lower_bounds],
         "upper_bounds": [{"name": n, "value": v} for n, v in rep.upper_bounds],
         "best_lower": rep.best_lower,
@@ -204,8 +171,9 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
 
 def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
                    sign_mode: str) -> tuple[ObstructionReport, int]:
-    _check_drop_vertex(case, drop_vertex)
     G = gl_lattice(case.graph, drop_vertex)
+    # checked here, not only in enumerate_embeddings: NOT_DEFINITE comes
+    # before MISSING_SIGMA, with a message of its own
     if not is_positive_definite(G):
         raise HypothesisError(
             "NOT_DEFINITE",
@@ -213,12 +181,8 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
             "embedding theorem does not apply")
     sigma = case.sigma_K
     if sigma is None:
-        raise CaseError("MISSING_SIGMA",
-                        "need 'sigma' or 'positive_crossings' to set k")
-    if sigma > 0:
-        raise HypothesisError("POSITIVE_SIGMA",
-                              "stated for sigma(K) <= 0; mirror the knot "
-                              "first")
+        raise InputError("MISSING_SIGMA",
+                         "need 'sigma' or 'positive_crossings' to set k")
     R = induced_isometry(case.graph, case.symmetry, drop_vertex)
     rep = donaldson_obstruction(G, R, sigma, case.symmetry.order,
                                 sign_mode=sign_mode)
@@ -253,9 +217,9 @@ def _load(path) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
-        raise CaseError("IO", f"cannot read {path}: {e}") from e
+        raise InputError("IO", f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:
-        raise CaseError("SCHEMA", f"not valid JSON: {e}") from e
+        raise InputError("SCHEMA", f"not valid JSON: {e}") from e
 
 
 def _load_gram(path: str, involution: bool = False
@@ -268,22 +232,23 @@ def _load_gram(path: str, involution: bool = False
         raw = {"gram": raw}
     keys = ("gram", "involution") if involution else ("gram",)
     if not isinstance(raw, dict) or any(key not in raw for key in keys):
-        raise CaseError("SCHEMA", "--gram file needs "
-                        f"{' and '.join(map(repr, keys))} matrices")
+        raise InputError("SCHEMA", "--gram file needs "
+                         f"{' and '.join(map(repr, keys))} matrices")
+    # checked here, not left to GramLattice, for a message that names the key
     for key in keys:
         M = raw[key]
         if not (isinstance(M, list) and all(
                 isinstance(row, list) and len(row) == len(M)
                 and _ints(row) for row in M)):
-            raise CaseError("SCHEMA",
-                            f"'{key}' must be a square integer matrix")
+            raise InputError("SCHEMA",
+                             f"'{key}' must be a square integer matrix")
     if involution and len(raw["involution"]) != len(raw["gram"]):
-        raise CaseError("SCHEMA",
-                        "'involution' and 'gram' must have the same size")
+        raise InputError("SCHEMA",
+                         "'involution' and 'gram' must have the same size")
     try:
         G = GramLattice(raw["gram"])
     except ValueError as e:
-        raise CaseError("SCHEMA", f"bad 'gram': {e}") from e
+        raise InputError("SCHEMA", f"bad 'gram': {e}") from e
     return G, raw.get("involution")
 
 
@@ -306,20 +271,19 @@ def cmd_gsig(args, out) -> int:
                                       ("--period", args.period))
              if value is not None]
     if len(given) > 1:
-        raise CaseError("SCHEMA", f"give only one of {', '.join(given)}")
+        raise InputError("SCHEMA", f"give only one of {', '.join(given)}")
     if args.drop_vertex is not None and args.file is None:
-        raise CaseError("SCHEMA", "--drop-vertex needs a case file")
+        raise InputError("SCHEMA", "--drop-vertex needs a case file")
     if args.period is None and (args.sigma is not None
                                 or args.quotient_sigma is not None):
-        raise CaseError("SCHEMA",
-                        "--sigma and --quotient-sigma need --period")
+        raise InputError("SCHEMA",
+                         "--sigma and --quotient-sigma need --period")
     if args.period is not None:
         if args.sigma is None or args.quotient_sigma is None:
-            raise CaseError("SCHEMA",
-                            "--period needs --sigma and --quotient-sigma")
-        _check_period(args.period)
+            raise InputError("SCHEMA",
+                             "--period needs --sigma and --quotient-sigma")
         val = gsig_periodic(args.period, args.sigma, args.quotient_sigma)
-        doc = {"gsig": _rational(val), "method": "periodic-quotient-formula"}
+        doc = {"gsig": str(val), "method": "periodic-quotient-formula"}
     elif args.gram is not None or args.file is not None:
         doc = {}
         if args.gram is not None:
@@ -330,20 +294,16 @@ def cmd_gsig(args, out) -> int:
                 raise HypothesisError(
                     "NOT_INVOLUTION",
                     "eigenspace path needs an order-2 symmetry")
-            _check_drop_vertex(case, args.drop_vertex)
             G = gl_lattice(case.graph, args.drop_vertex)
             R = induced_isometry(case.graph, case.symmetry, args.drop_vertex)
             doc["name"] = case.name
-        try:
-            rep = gsig_involution(G, R)
-        except ValueError as e:
-            raise HypothesisError("NOT_INVOLUTION", str(e)) from e
-        doc.update(gsig=_rational(rep.gsig), sigma_plus=rep.sigma_plus,
+        rep = gsig_involution(G, R)
+        doc.update(gsig=str(rep.gsig), sigma_plus=rep.sigma_plus,
                    sigma_minus=rep.sigma_minus, dims=list(rep.dims),
                    method="eigenspace-restriction")
     else:
-        raise CaseError("SCHEMA",
-                        "give a case file, --gram, or --period flags")
+        raise InputError("SCHEMA",
+                         "give a case file, --gram, or --period flags")
     if args.json:
         print(json.dumps(doc, indent=2), file=out)
     else:
@@ -369,11 +329,8 @@ def cmd_bounds(args, out) -> int:
 
 def cmd_embed(args, out) -> int:
     if args.k < 0:
-        raise CaseError("SCHEMA", "--k must be >= 0")
+        raise InputError("SCHEMA", "--k must be >= 0")
     G, _ = _load_gram(args.gram)
-    if not is_positive_definite(G):
-        raise HypothesisError("NOT_DEFINITE",
-                              "form is not positive definite")
     embs = enumerate_embeddings(G, args.k)
     classes = orbit_classes(embs)
     doc = {
@@ -413,14 +370,15 @@ def _batch_row(path: Path, sign_mode: str) -> dict:
             "best_lower": brep.best_lower,
             "best_upper": brep.best_upper,
         }
-    except CaseError as e:
-        return {"name": path.stem, "file": path.name, "error": str(e)}
+    except InputError as e:
+        return {"name": path.stem, "file": path.name,
+                "error": f"{e.code}: {e}"}
 
 
 def cmd_batch(args, out) -> int:
     root = Path(args.directory)
     if not root.is_dir():
-        raise CaseError("IO", f"not a directory: {args.directory}")
+        raise InputError("IO", f"not a directory: {args.directory}")
     rows = [_batch_row(p, args.sign_mode) for p in sorted(root.glob("*.json"))]
     rows.sort(key=lambda r: r["name"])
     if args.json:
@@ -513,9 +471,10 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except CaseError as e:
-        print(f"error {e}", file=sys.stderr)
-        return e.exit_code
+    except InputError as e:
+        print(f"error {e.code}: {e}", file=sys.stderr)
+        return (EXIT_HYPOTHESIS if isinstance(e, HypothesisError)
+                else EXIT_INPUT)
 
 
 if __name__ == "__main__":

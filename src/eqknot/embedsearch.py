@@ -16,8 +16,8 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry
-from .lattice import (GramLattice, Matrix, _as_matrix, _Frozen, _ints,
-                      is_positive_definite, mat_mul)
+from .lattice import (GramLattice, HypothesisError, Matrix, _as_matrix,
+                      _Frozen, _ints, is_positive_definite, mat_mul)
 
 
 class Embedding(_Frozen):
@@ -245,8 +245,7 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     if not is_positive_definite(G):
-        raise ValueError("embedding target (Z^k, Id) requires a positive "
-                         "definite source form")
+        raise HypothesisError("NOT_DEFINITE", "form is not positive definite")
     g = G.gram
     m = G.rank
     if m == 0:
@@ -443,7 +442,8 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     if sigma_K > 0:
-        raise ValueError("stated for sigma(K) <= 0; mirror the knot first")
+        raise HypothesisError("POSITIVE_SIGMA", "stated for sigma(K) <= 0; "
+                              "mirror the knot first")
     if sigma_K % 2 != 0:
         raise ValueError("-sigma(K) must be even")
     if sign_mode not in ("strict", "both"):

@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lattice import GramLattice, _as_matrix, _inertia, _row_mul, _rows
+from .lattice import (GramLattice, HypothesisError, InputError, _as_matrix,
+                      _inertia, _row_mul, _rows)
 
 
 class GSignatureReport(NamedTuple):
@@ -39,14 +40,15 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
     Rm = _as_matrix(R)
     n = G.rank
     if len(Rm) != n or any(len(row) != n for row in Rm):
-        raise ValueError("isometry rank does not match form rank")
+        raise HypothesisError("NOT_INVOLUTION",
+                              "isometry rank does not match form rank")
     Rr, Gr = _rows(Rm), _rows(G.gram)
     if _row_mul(Rr, Rr) != [{i: 1} for i in range(n)]:
-        raise ValueError("R is not an involution")
+        raise HypothesisError("NOT_INVOLUTION", "R is not an involution")
     GR = _row_mul(Gr, Rr)
     if any(GR[j].get(i) != x for i, row in enumerate(GR)
            for j, x in row.items()):
-        raise ValueError("R does not preserve the form")
+        raise HypothesisError("NOT_INVOLUTION", "R does not preserve the form")
     trace = sum(Rm[i][i] for i in range(n))
     dp, dm = (n + trace) // 2, (n - trace) // 2
 
@@ -72,7 +74,7 @@ def gsig_periodic(n: int, sigma_K: int, sigma_quotient: int) -> Fraction:
     """Exact g-signature of an n-periodic knot from the two signatures:
     (n*sigma(quotient) - sigma(K)) / (n-1)."""
     if n < 2:
-        raise ValueError("period must be >= 2")
+        raise InputError("SCHEMA", f"the period must be >= 2, not {n}")
     return Fraction(n * sigma_quotient - sigma_K, n - 1)
 
 

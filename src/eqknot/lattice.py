@@ -16,6 +16,10 @@ it for dense matrices. `gsig_involution` calls `_row_mul` directly to
 check R^2 = I and build G R, and hands G +- G R to the elimination core
 `_inertia` as sparse rows.
 
+A check whose failure the CLI reports under its own code raises
+`InputError` (a `ValueError` with that `code`) or, for an unmet theorem
+hypothesis, its subclass `HypothesisError`: exit statuses 2 and 3.
+
 The validated value types of the package (`GramLattice` here, the graph,
 symmetry, embedding and signed permutation types elsewhere) share
 `_Frozen`, a small immutable base with fields in `__slots__`. The plain
@@ -30,6 +34,22 @@ from typing import NamedTuple, Sequence
 Matrix = tuple[tuple, ...]
 Rows = list[dict]
 _INT = frozenset({int})
+
+
+class InputError(ValueError):
+    """InputError(code, message): an input breaks the rule named `code`,
+    such as "SCHEMA" or "LOOP_EDGE"; str() is the bare message."""
+
+    @property
+    def code(self) -> str:
+        return self.args[0]
+
+    def __str__(self):
+        return self.args[1]
+
+
+class HypothesisError(InputError):
+    """A theorem hypothesis is not met; the computation does not apply."""
 
 
 def _ints(row) -> bool:

@@ -477,6 +477,17 @@ def conjugate(U, G):
     return dense_mat_mul(dense_mat_mul(transpose(U), G), U)
 
 
+# The fuzz tests take their number of examples from the profile:
+# `--hypothesis-profile=ci` runs ten times as many as the default.
+try:
+    from hypothesis import settings
+except ImportError:  # the fuzz tests skip themselves
+    pass
+else:
+    settings.register_profile("default", max_examples=200)
+    settings.register_profile("ci", max_examples=2000)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from eqknot.cli import CaseError, _load, main, parse_case
+from eqknot import InputError
+from eqknot.cli import _load, main, parse_case
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NINE_40 = FIXTURES / "9_40.json"
@@ -95,7 +97,7 @@ class TestParseCase:
                "edges": [[0, 0, -1]],
                "symmetry": {"vertex_perm": [0, 1], "order": 2,
                             "kind": "periodic", "lift_sign": 1}}
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "LOOP_EDGE"
 
@@ -104,21 +106,21 @@ class TestParseCase:
                "edges": [[0, 1, -1], [1, 2, -1], [1, 2, -1]],
                "symmetry": {"vertex_perm": [1, 0, 2], "order": 2,
                             "kind": "strong_inversion", "lift_sign": 1}}
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "NOT_AUTOMORPHISM"
 
     def test_sigma_mismatch_code(self):
         doc = json.loads(NINE_40.read_text())
         doc["sigma"] = 0
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "SIGMA_MISMATCH"
 
     def test_schema_code_on_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json")
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             _load(path)
         assert e.value.code == "SCHEMA"
 
@@ -131,7 +133,7 @@ class TestParseCase:
         doc = json.loads(NINE_40.read_text())
         del doc["sigma"], doc["positive_crossings"]
         doc[field] = value
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "SCHEMA"
 
@@ -142,7 +144,7 @@ class TestParseCase:
     def test_bad_bounds_schema(self, bounds):
         doc = json.loads(NINE_40.read_text())
         doc["bounds"] = bounds
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "SCHEMA"
 
@@ -156,7 +158,7 @@ class TestParseCase:
         doc = json.loads(NINE_40.read_text())
         del doc["sigma"]
         doc["positive_crossings"] = 5
-        with pytest.raises(CaseError) as e:
+        with pytest.raises(InputError) as e:
             parse_case(doc)
         assert e.value.code == "SCHEMA"
 
@@ -193,7 +195,7 @@ class TestObstructCommand:
         code, _ = run(["obstruct", "/nonexistent.json"])
         assert code == 2
 
-    def test_positive_sigma_exit_3(self, tmp_path):
+    def test_positive_sigma_exit_3(self, tmp_path, capsys):
         doc = json.loads(NINE_40.read_text())
         del doc["positive_crossings"]
         doc["sigma"] = 2
@@ -201,6 +203,9 @@ class TestObstructCommand:
         p.write_text(json.dumps(doc))
         code, _ = run(["obstruct", str(p)])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error POSITIVE_SIGMA: stated for sigma(K) <= 0; mirror the "
+            "knot first\n")
 
     def test_symmetry_of_order_840(self, tmp_path):
         p = tmp_path / "star.json"
@@ -617,6 +622,67 @@ def test_verdict_independent_of_dropped_vertex(tmp_path, name, doc):
             seen.add((code, rep.get("k"), rep.get("class_count"),
                       rep.get("obstructed")))
         assert len(seen) == 1, (mode, seen)
+
+
+def _obstruct_json(tmp_path, doc, *flags):
+    """The exit code and, on exit 0, the --json report of `obstruct`."""
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(["obstruct", str(p), *flags, "--json"])
+    return code, json.loads(out) if code == 0 else None
+
+
+def _relabelled(doc, pi):
+    """doc with vertex v renamed pi[v]: the edges mapped and the symmetry
+    conjugated, pi . perm . pi^-1."""
+    perm = doc["symmetry"]["vertex_perm"]
+    conj = [0] * len(perm)
+    for v, image in enumerate(perm):
+        conj[pi[v]] = pi[image]
+    return dict(doc, edges=[[pi[u], pi[v], w] for u, v, w in doc["edges"]],
+                symmetry=dict(doc["symmetry"], vertex_perm=conj))
+
+
+@pytest.mark.parametrize("name, doc", _drop_vertex_cases().items(),
+                         ids=list(_drop_vertex_cases()))
+def test_verdict_independent_of_relabelling(tmp_path, name, doc):
+    # renaming the vertices is an isomorphism of the signed graph that
+    # carries the symmetry along, so the lattice of the default drop is
+    # isometric to the original's and the verdict cannot move
+    rng = random.Random(f"relabel-{name}")
+    want = _obstruct_json(tmp_path, doc)
+    for _ in range(3):
+        pi = list(range(doc["vertices"]))
+        rng.shuffle(pi)
+        code, rep = _obstruct_json(tmp_path, _relabelled(doc, pi))
+        assert code == want[0], pi
+        if code == 0:
+            assert ([rep[key] for key in ("k", "class_count", "obstructed")]
+                    == [want[1][key] for key in
+                        ("k", "class_count", "obstructed")]), pi
+
+
+@pytest.mark.parametrize("name, doc", _drop_vertex_cases().items(),
+                         ids=list(_drop_vertex_cases()))
+def test_sign_mode_both_is_union_of_strict_runs(tmp_path, name, doc):
+    # both modes search the same classes; --sign-mode both finds a delta
+    # for a class exactly when a strict run with lift_sign or -lift_sign
+    # does, so it is obstructed exactly when both strict runs are
+    sign = doc["symmetry"]["lift_sign"]
+    flipped = dict(doc, symmetry=dict(doc["symmetry"], lift_sign=-sign))
+    code, both = _obstruct_json(tmp_path, doc, "--sign-mode", "both")
+    runs = [_obstruct_json(tmp_path, d) for d in (doc, flipped)]
+    assert [c for c, _ in runs] == [code, code]
+    if code != 0:
+        return
+    strict = [rep for _, rep in runs]
+    for rep in strict:
+        assert ([c["embedding"] for c in rep["per_class"]]
+                == [c["embedding"] for c in both["per_class"]])
+    for idx, cls in enumerate(both["per_class"]):
+        assert (cls["delta"] is not None) == any(
+            rep["per_class"][idx]["delta"] is not None for rep in strict), idx
+    assert both["obstructed"] == all(rep["obstructed"] for rep in strict)
 
 
 def run_limited(argv, limit=1 << 30):
