@@ -328,8 +328,6 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_embed(args, out) -> int:
-    if args.k < 0:
-        raise InputError("SCHEMA", "--k must be >= 0")
     G, _ = _load_gram(args.gram)
     embs = enumerate_embeddings(G, args.k)
     classes = orbit_classes(embs)

@@ -16,8 +16,9 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry
-from .lattice import (GramLattice, HypothesisError, Matrix, _as_matrix,
-                      _Frozen, _ints, is_positive_definite, mat_mul)
+from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
+                      _as_matrix, _Frozen, _ints, is_positive_definite,
+                      mat_mul)
 
 
 class Embedding(_Frozen):
@@ -242,6 +243,8 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     `canonical_form`, and its orbit size in Z^k comes from a closed
     formula (`_orbit_size`).
     """
+    if k < 0:
+        raise InputError("SCHEMA", "k must be >= 0")
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
     if not is_positive_definite(G):
@@ -332,26 +335,49 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     return list(embeddings.classes)
 
 
-def _order_points(d: int, cap: int) -> int:
-    """The smaller of cap and the points enough for a signed permutation
-    of any order dividing d: a p^a-cycle for each power p^a of an odd
-    prime that exactly divides d, and for 2^a a 2^(a-1)-cycle with sign
-    product -1. The sum of these is at most d. Trial division stops once
-    the sum reaches cap or the divisor passes it, since every prime power
-    left is then larger than cap, so a huge d costs O(min(cap, sqrt d))."""
-    points, p = 0, 2
-    while p * p <= d:
-        if points >= cap or p > cap:
-            return cap
-        q = 1
-        while d % p == 0:
-            d, q = d // p, q * p
-        if q > 1:
-            points += q // 2 if p == 2 else q
+def _zero_cycles(o1: int, required: int, z: int
+                 ) -> Optional[tuple[list[int], list[int]]]:
+    """The (perm, signs) of the lexicographically first signed permutation
+    of z points whose order o2 has lcm(o1, o2) = required, or None.
+
+    o2 must be a multiple of the full power p^a of each prime p of
+    required/o1, and the least o2, the product of those, fits on the
+    fewest points: a p^a-cycle for each odd p, and for p = 2 a
+    2^(a-1)-cycle with sign product -1, except that for a = 1 that -1
+    goes on the last odd cycle, if there is one. The cycles go on the
+    last points, shortest first, each as i -> i + 1 with its sign on its
+    last point; the points before stay fixed with sign +1. None when
+    o1 does not divide required or the cycles need more than z points;
+    trial division stops once a prime passes z, so a huge order costs
+    O(min(z, sqrt(required)))."""
+    if required % o1:
+        return None
+    rest, p, cycles = required // o1, 2, []
+    while rest > 1 and p <= z + 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            q = p
+            while required % (q * p) == 0:
+                q *= p
+            while rest % p == 0:
+                rest //= p
+            cycles.append([q // 2, -1] if p == 2 else [q, 1])
         p += 1
-    if d > 1:
-        points += 1 if d == 2 else d
-    return min(points, cap)
+    cycles.sort()
+    if cycles[:1] == [[1, -1]] and len(cycles) > 1:
+        cycles[-1][1] = -1
+        del cycles[0]
+    start = z - sum(length for length, _ in cycles)
+    if rest > 1 or start < 0:
+        return None
+    perm, signs = list(range(z)), [1] * z
+    for length, sign in cycles:
+        start += length
+        perm[start - length:start] = [*range(start - length + 1, start),
+                                      start - length]
+        signs[start - 1] = sign
+    return perm, signs
 
 
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
@@ -359,16 +385,24 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     """A signed permutation P with P.E = E.R of exact multiplicative order
     required_order, or None.
 
-    Each row i of P must send some row of E to row i of E.R up to sign.
-    The z zero rows of E are zero in E.R too, and P permutes them freely,
-    with free signs; they meet the rest only through the order,
-    lcm(order on the nonzero rows, order on the zero rows). That second
-    order divides required_order, so `_order_points(required_order, z)`
-    of them can carry it. The search backtracks only over the last f of
-    the z zero rows, f that number, subject to the order
-    condition, and fixes the others with sign +1. It meets the rows in
-    the order that a search over all z zero rows would, so it returns the
-    same P.
+    Each row i of P must send some row of E to row i of T = E.R up to
+    sign, so P sends zero rows of E onto the zero rows of T. These
+    include the z zero rows of E, and when there are more (R singular)
+    there is no P. Otherwise P splits into a block on the nonzero rows,
+    of order o1, and a block on the zero rows, of order o2, which meets
+    the rest only through P's order lcm(o1, o2). So a P exists iff some
+    nonzero-row block has o1 dividing required_order and the least o2
+    that completes the lcm fits on z points. The search backtracks over
+    the nonzero rows only, fewest candidates first, and at each leaf
+    takes the zero-row block from `_zero_cycles`.
+
+    It returns the P of a search over all rows (fewest candidates first,
+    2z of them for a zero row, j ascending and sign +1 before -1) when
+    the zero rows of E come last, as in a canonical E, and no nonzero
+    row has more than 2z candidates: that search then meets the zero
+    rows right after the nonzero rows, and there it takes the
+    lexicographically first block that completes the order, the one
+    `_zero_cycles` builds.
     """
     Rm = _as_matrix(R)
     m = E.source_rank
@@ -377,41 +411,34 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     k = E.k
     T = mat_mul(E.matrix, Rm)
     zero = [j for j, row in enumerate(E.matrix) if not any(row)]
-    free = zero[len(zero) - _order_points(required_order, len(zero)):]
-    fixed = set(zero[:len(zero) - len(free)])
-    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i];
-    # width[i]: their number, counting all z zero rows for a zero T_row[i]
+    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
     row_index: dict[tuple[int, ...], list[int]] = {}
     for j, row in enumerate(E.matrix):
         row_index.setdefault(row, []).append(j)
     candidates: dict[int, list[tuple[int, int]]] = {}
-    width: dict[int, int] = {}
     for i in range(k):
-        if i in fixed:
-            continue
         t = T[i]
         if any(t):
-            opts = [(j, 1) for j in row_index.get(t, [])]
             neg = tuple(-x for x in t)
-            opts.extend((j, -1) for j in row_index.get(neg, []))
-            width[i] = len(opts)
-        else:
-            opts = [(j, s) for j in free for s in (1, -1)]
-            width[i] = 2 * len(zero)
-        if not opts:
-            return None
-        candidates[i] = opts
+            candidates[i] = ([(j, 1) for j in row_index.get(t, [])]
+                             + [(j, -1) for j in row_index.get(neg, [])])
+        elif any(E.matrix[i]):
+            return None  # R is singular: T has more zero rows than E
 
     perm = list(range(k))
     signs = [1] * k
     used = [False] * k
-    order_rows = sorted(candidates, key=width.__getitem__)
-    last = len(order_rows)
+    order_rows = sorted(candidates, key=lambda i: len(candidates[i]))
 
     def search(pos: int) -> Optional[SignedPermutation]:
-        if pos == last:
-            P = SignedPermutation(tuple(perm), tuple(signs))
-            return P if P.order() == required_order else None
+        if pos == len(order_rows):
+            o1 = SignedPermutation(perm, signs).order()
+            block = _zero_cycles(o1, required_order, len(zero))
+            if block is None:
+                return None
+            for i, j, s in zip(zero, *block):
+                perm[i], signs[i] = zero[j], s
+            return SignedPermutation(perm, signs)
         i = order_rows[pos]
         for j, s in candidates[i]:
             if used[j]:

@@ -40,8 +40,7 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
     Rm = _as_matrix(R)
     n = G.rank
     if len(Rm) != n or any(len(row) != n for row in Rm):
-        raise HypothesisError("NOT_INVOLUTION",
-                              "isometry rank does not match form rank")
+        raise InputError("SCHEMA", "isometry rank does not match form rank")
     Rr, Gr = _rows(Rm), _rows(G.gram)
     if _row_mul(Rr, Rr) != [{i: 1} for i in range(n)]:
         raise HypothesisError("NOT_INVOLUTION", "R is not an involution")

@@ -791,6 +791,26 @@ def test_huge_symmetry_order_answers_at_once(tmp_path):
     assert "obstructed: True\n" in done.stdout
 
 
+@pytest.mark.parametrize("n", [9, 15])
+def test_rotated_cycle_with_lift_sign_minus_one_answers_at_once(tmp_path, n):
+    # C_n rotated with lift sign -1 at sigma -10 has one class with 9 zero
+    # rows, and no nonzero-row block whose order divides n; the zero rows
+    # are never searched, so this answers at once rather than trying
+    # every signed permutation of them at every leaf. The verdict is the
+    # vacuous one of ROADMAP item 12, so it is not asserted
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps({
+        "name": f"C{n}", "vertices": n,
+        "edges": [[i, (i + 1) % n, -1] for i in range(n)],
+        "symmetry": {"vertex_perm": [(i + 1) % n for i in range(n)],
+                     "order": n, "kind": "periodic", "lift_sign": -1},
+        "sigma": -10}))
+    done = run_limited(["obstruct", str(p)])
+    assert done.returncode == 0, done.stderr
+    assert "embedding classes: 1\n" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
 def test_star_leaf_dropped_in_bounded_memory(tmp_path):
     # dropping a leaf leaves the centre a column of norm 23 in Z^23,
     # whose full norm pool does not fit in 600 MB; the lattice is still

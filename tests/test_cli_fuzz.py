@@ -1,10 +1,10 @@
 """Fuzz test of the CLI's exit-code contract: byte-mutated copies of the
-9_40 case file and the 9_46 gram file, fed to `obstruct`, `gsig CASE`,
-`gsig --gram` and `embed --gram` in process, exit 0, 2 or 3 and raise
-nothing, and `batch --json` on the mutant's directory exits 0, as a bad
-file is an error row. The number of examples comes from the Hypothesis
-profile (`tests/conftest.py`): 200 by default, 2,000 with
-`--hypothesis-profile=ci`."""
+9_40 case file, the 9_46 gram file and a rotated C9 case, fed to
+`obstruct`, `gsig CASE`, `gsig --gram` and `embed --gram` in process,
+exit 0, 2 or 3 and raise nothing, and `batch --json` on the mutant's
+directory exits 0, as a bad file is an error row. The number of
+examples comes from the Hypothesis profile (`tests/conftest.py`): 200 by
+default, 2,000 with `--hypothesis-profile=ci`."""
 
 import contextlib
 import io
@@ -20,8 +20,17 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from eqknot.cli import main  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# C9 rotated with lift sign -1, so that mutants reach the delta search
+# with an odd composite order; built here rather than kept under
+# fixtures/, whose every JSON file the batch goldens read
+C9_ROTATED = json.dumps({
+    "name": "C9", "vertices": 9,
+    "edges": [[i, (i + 1) % 9, -1] for i in range(9)],
+    "symmetry": {"vertex_perm": [(i + 1) % 9 for i in range(9)], "order": 9,
+                 "kind": "periodic", "lift_sign": -1},
+    "sigma": -2}).encode()
 SOURCES = [(FIXTURES / name).read_bytes()
-           for name in ("9_40.json", "9_46_gram.json")]
+           for name in ("9_40.json", "9_46_gram.json")] + [C9_ROTATED]
 DIGITS = b"0123456789"
 
 

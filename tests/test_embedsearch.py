@@ -9,9 +9,10 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     LatticeIsometry, SignedPermutation, canonical_form,
                     donaldson_obstruction, enumerate_embeddings,
                     enumerate_vectors, equivariant_delta, gl_lattice,
-                    orbit_classes)
-from eqknot.embedsearch import _orbit_size
-from eqknot.lattice import mat_mul
+                    induced_isometry, orbit_classes)
+from eqknot.cli import parse_case
+from eqknot.embedsearch import _orbit_size, _zero_cycles
+from eqknot.lattice import is_positive_definite, mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       char_poly, conjugate, delta_over_all_zero_rows,
                       dense_bareiss_inertia, dense_mat_mul,
@@ -447,6 +448,59 @@ def _solve_isometry(E, P):
     return R if mat_mul(E.matrix, R) == T else None
 
 
+class TestZeroCycles:
+    @staticmethod
+    def first_of_each_order(z):
+        """{order: (position, perm, signs)} for the first signed
+        permutation of z points of each order, in the order a search over
+        z zero rows meets them: rows ascending, and for each the image j
+        ascending, (j, +1) before (j, -1)."""
+        perm, signs, used, seen = [0] * z, [0] * z, [False] * z, {}
+
+        def rec(i):
+            if i == z:
+                order = SignedPermutation(perm, signs).order()
+                seen.setdefault(order, (len(seen), list(perm), list(signs)))
+                return
+            for j in range(z):
+                if not used[j]:
+                    used[j] = True
+                    for s in (1, -1):
+                        perm[i], signs[i] = j, s
+                        rec(i + 1)
+                    used[j] = False
+
+        rec(0)
+        return seen
+
+    def test_lex_first_block(self):
+        # for z <= 5 points, every required order up to 30 and every o1
+        # up to 30: the first block whose order o2 has lcm(o1, o2) equal
+        # to the required order, or None when there is none, as whenever
+        # o1 does not divide it
+        found = Counter()
+        for z in range(6):
+            first = self.first_of_each_order(z)
+            for required in range(1, 31):
+                for o1 in range(1, 31):
+                    hits = [first[o] for o in first
+                            if math.lcm(o1, o) == required]
+                    want = min(hits)[1:] if hits else None
+                    assert _zero_cycles(o1, required, z) == want, (
+                        z, o1, required)
+                    found[required % o1 == 0, want is not None] += 1
+        assert found[True, True] > 200 and found[True, False] > 200
+        assert found[False, False] == 6 * 900 - 666
+
+    def test_sign_on_last_odd_cycle(self):
+        # two odd cycles need 8 points: order 30 as a 3-cycle and a
+        # 5-cycle whose sign product -1 sits on the last point, which the
+        # search over 8 points meets before the same -1 on the 3-cycle
+        assert _zero_cycles(1, 30, 8) == ([1, 2, 0, 4, 5, 6, 7, 3],
+                                          [1] * 7 + [-1])
+        assert _zero_cycles(5, 30, 3) == ([1, 2, 0], [1, 1, -1])
+
+
 class TestEquivariantDelta:
     def test_identity(self):
         E = Embedding(2, [(1, 0), (0, 1)])
@@ -474,6 +528,13 @@ class TestEquivariantDelta:
         E = Embedding(2, [(1, 0), (0, 1)])
         assert equivariant_delta(E, [[1, 0], [0, 1]], 2) is None
 
+    def test_singular_r_has_no_delta(self):
+        # E.R has a zero row where E has none, so no P can send a zero
+        # row of E there
+        E = Embedding(2, [(1,), (0,)])
+        for order in (1, 2):
+            assert equivariant_delta(E, [[0]], order) is None
+
     def test_zero_rows_free(self):
         # ambient rank exceeds the span: free rows complete to the order
         E = Embedding(3, [(1,), (0,), (0,)])
@@ -482,16 +543,16 @@ class TestEquivariantDelta:
         assert mat_mul(signed_perm_matrix(d), E.matrix) == E.matrix
 
     def test_surplus_zero_rows_fixed(self):
-        # five equal rows and three zero rows, order 2: only the last two
-        # zero rows are searched, and the delta is the one the search over
-        # all three found, the last zero row negated
+        # five equal rows and three zero rows, order 2: no zero row is
+        # searched, and the delta is the one the search over all three
+        # found, the last zero row negated
         E = Embedding(8, [(1,)] * 5 + [(0,)] * 3)
         d = equivariant_delta(E, [[1]], 2)
         assert d == SignedPermutation(range(8), (1,) * 7 + (-1,))
 
     def test_many_zero_rows(self):
-        # a 3-cycle on the last three of 1,200 zero rows; no recursion
-        # through the other zero rows
+        # a 3-cycle on the last three of 1,200 zero rows, built without
+        # a search
         E = Embedding(1201, [(1,)] + [(0,)] * 1200)
         d = equivariant_delta(E, [[1]], 3)
         assert d.order() == 3
@@ -501,8 +562,8 @@ class TestEquivariantDelta:
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
         # c copies of +-e_i for each i and z zero rows, shuffled, and R a
         # signed permutation matrix: for required orders 1 to 6 the search
-        # often leaves some of the z zero rows fixed, yet finds the same P
-        # as the backtracking over all of them
+        # over the nonzero rows, with the zero rows' block in closed form,
+        # finds the same P as the backtracking over all rows
         tested = 0
         while tested < 80:
             m, c, z = rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 4)
@@ -520,6 +581,39 @@ class TestEquivariantDelta:
             for order in range(1, 7):
                 assert (equivariant_delta(E, R, order)
                         == delta_over_all_zero_rows(E, R, order)), (rows, R)
+
+    def test_same_delta_on_census_classes(self):
+        # every class of the CLI census at its default dropped vertex,
+        # with R and -R and the case's order. Where no nonzero row of E
+        # has more than 2z +- copies, the search over all rows meets the
+        # zero rows right after the nonzero rows and so finds the same P;
+        # elsewhere P need only intertwine and have the exact order
+        from test_cli import _drop_vertex_cases
+        tested = 0
+        for name, doc in _drop_vertex_cases().items():
+            case = parse_case(doc)
+            G = gl_lattice(case.graph)
+            if case.sigma_K is None or not is_positive_definite(G):
+                continue
+            R = induced_isometry(case.graph, case.symmetry).matrix
+            order = case.symmetry.order
+            for E, _ in enumerate_embeddings(G, G.rank - case.sigma_K).classes:
+                z = E.matrix.count((0,) * G.rank)
+                copies = Counter(min(r, tuple(-x for x in r))
+                                 for r in E.matrix if any(r))
+                for Rm in (R, [[-x for x in row] for row in R]):
+                    got = equivariant_delta(E, Rm, order)
+                    want = delta_over_all_zero_rows(E, Rm, order)
+                    tested += 1
+                    if max(copies.values()) <= 2 * z:
+                        assert got == want, (name, E, Rm)
+                        continue
+                    assert (got is None) == (want is None), (name, E, Rm)
+                    if got is not None:
+                        assert got.order() == order
+                        assert (mat_mul(signed_perm_matrix(got), E.matrix)
+                                == mat_mul(E.matrix, Rm))
+        assert tested > 300
 
     def test_exhaustive_oracle(self, rng):
         tested = 0

@@ -39,6 +39,8 @@ RULES = [
         [[1]], LatticeIsometry(((1,),), 1), 2, 1),
      True, "POSITIVE_SIGMA",
      "stated for sigma(K) <= 0; mirror the knot first"),
+    ("negative_k", lambda: enumerate_embeddings([[1]], -1),
+     False, "SCHEMA", "k must be >= 0"),
     ("not_definite", lambda: enumerate_embeddings([[0, 1], [1, 0]], 2),
      True, "NOT_DEFINITE", "form is not positive definite"),
     ("not_involution", lambda: gsig_involution([[1, 0], [0, 1]],
@@ -48,7 +50,7 @@ RULES = [
                                               [[0, 1], [1, 0]]),
      True, "NOT_INVOLUTION", "R does not preserve the form"),
     ("rank_mismatch", lambda: gsig_involution([[1, 0], [0, 1]], [[1]]),
-     True, "NOT_INVOLUTION", "isometry rank does not match form rank"),
+     False, "SCHEMA", "isometry rank does not match form rank"),
     ("period_one", lambda: gsig_periodic(1, 0, 0),
      False, "SCHEMA", "the period must be >= 2, not 1"),
 ]
