@@ -96,9 +96,8 @@ class SymmetrySpec(_Frozen):
         if type(lift_sign) is not int or lift_sign not in (1, -1):
             raise ValueError("lift_sign must be +1 or -1 (no auto mode)")
         index(order)  # TypeError unless order is an integer
-        # vertex_perm^order is the identity iff every cycle length
-        # divides order
-        if any(order % length for length in _cycle_lengths(perm)):
+        # vertex_perm^order is the identity iff its order divides `order`
+        if order % _signed_order(perm, (1,) * len(perm)):
             raise ValueError("vertex_perm^order is not the identity")
         object.__setattr__(self, "vertex_perm", perm)
         object.__setattr__(self, "order", order)
@@ -114,18 +113,23 @@ class LatticeIsometry(NamedTuple):
     order: int
 
 
-def _cycle_lengths(perm: Sequence[int]) -> list[int]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
+def _signed_order(perm: Sequence[int], signs: Sequence[int],
+                  points: Optional[Sequence[int]] = None) -> int:
+    """The multiplicative order of the signed permutation (perm, signs)
+    on the cycles through `points` (all points by default): the lcm of
+    each cycle's length, doubled when its sign product is -1."""
+    seen = set()
+    out = 1
+    for start in range(len(perm)) if points is None else points:
+        length, sign_prod, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            sign_prod *= signs[i]
             i = perm[i]
             length += 1
         if length:
-            lengths.append(length)
-    return lengths
+            out = lcm(out, length if sign_prod == 1 else 2 * length)
+    return out
 
 
 def is_automorphism(g: CheckerboardGraph, perm: Sequence[int]) -> bool:
@@ -199,10 +203,10 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
     vector with at most two nonzero coordinates lies in that span only if
     it is 0, so rho(q) = I (each v_q(i) - v_i in the span) only for
     q = id, and rho(q) = -I (each v_q(i) + v_i in it) never: rho is
-    faithful and no power of perm acts as -I. Hence R^d = I iff L | d and
-    eps^d = 1, for L the lcm of perm's cycle lengths: the order is L, or
-    2L when eps = -1 and L is odd. When m <= 1, R is () or ((+-1,),), of
-    order 1 or 2.
+    faithful and no power of perm acts as -I. Hence R^d = I iff
+    perm^d = id and eps^d = 1, that is iff (eps*perm)^d = I on Z^n: R has
+    the order of the signed permutation eps*perm. When m <= 1, R is ()
+    or ((+-1,),), of order 1 or 2.
 
     R^T G R = G holds without a check: perm preserves the weighted edges,
     so it preserves the full form M of `gl_full_form`; v_1 + ... + v_n
@@ -231,8 +235,7 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
     R = tuple([tuple([col[i] for col in cols]) for i in range(m)])
     if m <= 1:
         return LatticeIsometry(R, 2 if R == ((-1,),) else 1)
-    L = lcm(*_cycle_lengths(perm))
-    return LatticeIsometry(R, L if eps == 1 or L % 2 == 0 else 2 * L)
+    return LatticeIsometry(R, _signed_order(perm, (eps,) * len(perm)))
 
 
 def knot_signature(g: CheckerboardGraph, positive_crossings: int) -> int:

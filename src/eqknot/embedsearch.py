@@ -11,11 +11,10 @@ embedding classes and finding no such delta obstructs the genus value.
 from __future__ import annotations
 
 import math
-from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .checkerboard import LatticeIsometry
+from .checkerboard import LatticeIsometry, _signed_order
 from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
                       _as_matrix, _Frozen, _ints, is_positive_definite,
                       mat_mul)
@@ -65,21 +64,8 @@ class SignedPermutation(_Frozen):
         return len(self.perm)
 
     def order(self) -> int:
-        """Exact multiplicative order, from cycle lengths and the product
-        of signs around each cycle."""
-        seen = [False] * self.k
-        out = 1
-        for start in range(self.k):
-            if seen[start]:
-                continue
-            length, sign_prod, i = 0, 1, start
-            while not seen[i]:
-                seen[i] = True
-                sign_prod *= self.signs[i]
-                i = self.perm[i]
-                length += 1
-            out = lcm(out, length if sign_prod == 1 else 2 * length)
-        return out
+        """Exact multiplicative order (`_signed_order`)."""
+        return _signed_order(self.perm, self.signs)
 
 
 class ObstructionReport(NamedTuple):
@@ -393,8 +379,13 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     the rest only through P's order lcm(o1, o2). So a P exists iff some
     nonzero-row block has o1 dividing required_order and the least o2
     that completes the lcm fits on z points. The search backtracks over
-    the nonzero rows only, fewest candidates first, and at each leaf
-    takes the zero-row block from `_zero_cycles`.
+    the nonzero rows only, fewest candidates first; P maps them onto
+    themselves, so a leaf reads o1 off their cycles and takes the
+    zero-row block from `_zero_cycles`. For each sign only the first
+    unused candidate j not yet placed is tried: any other such j' is an
+    equal row of E, so swapping e_j and e_j' maps the branch of j onto
+    that of j', keeping each leaf's cycle type and signs. As j's leaves
+    come first, the P found, or None, is that of the full search.
 
     It returns the P of a search over all rows (fewest candidates first,
     2z of them for a zero row, j ascending and sign +1 before -1) when
@@ -429,10 +420,11 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     signs = [1] * k
     used = [False] * k
     order_rows = sorted(candidates, key=lambda i: len(candidates[i]))
+    rank = {i: pos for pos, i in enumerate(order_rows)}
 
     def search(pos: int) -> Optional[SignedPermutation]:
         if pos == len(order_rows):
-            o1 = SignedPermutation(perm, signs).order()
+            o1 = _signed_order(perm, signs, order_rows)
             block = _zero_cycles(o1, required_order, len(zero))
             if block is None:
                 return None
@@ -440,9 +432,12 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
                 perm[i], signs[i] = zero[j], s
             return SignedPermutation(perm, signs)
         i = order_rows[pos]
+        tried = set()  # signs whose first row not yet placed was tried
         for j, s in candidates[i]:
-            if used[j]:
+            if used[j] or (rank[j] > pos and s in tried):
                 continue
+            if rank[j] > pos:
+                tried.add(s)
             used[j] = True
             perm[i], signs[i] = j, s
             hit = search(pos + 1)

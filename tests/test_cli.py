@@ -742,13 +742,20 @@ def test_huge_sigma_keeps_exit_contract(tmp_path):
 @pytest.mark.xfail(strict=True, reason="the zero rows past tr(G) are "
                    "materialised, so a k past sys.maxsize raises "
                    "OverflowError and exits 1")
-def test_astronomical_sigma_keeps_exit_contract(tmp_path):
+@pytest.mark.parametrize("command", ["obstruct", "embed"])
+def test_astronomical_sigma_keeps_exit_contract(tmp_path, command):
+    # obstruct on 9_40 at sigma -10**20, and embed of the A2 form into
+    # Z^(10**20)
     doc = json.loads(NINE_40.read_text())
     del doc["positive_crossings"]
     doc["sigma"] = -10**20
     p = tmp_path / "case.json"
     p.write_text(json.dumps(doc))
-    done = run_limited(["obstruct", str(p)])
+    gram = tmp_path / "a2.json"
+    gram.write_text(json.dumps([[2, -1], [-1, 2]]))
+    argv = {"obstruct": ["obstruct", str(p)],
+            "embed": ["embed", "--gram", str(gram), "--k", str(10**20)]}
+    done = run_limited(argv[command])
     assert done.returncode in (0, 2, 3)
     assert "Traceback" not in done.stderr
 
@@ -809,6 +816,21 @@ def test_rotated_cycle_with_lift_sign_minus_one_answers_at_once(tmp_path, n):
     assert done.returncode == 0, done.stderr
     assert "embedding classes: 1\n" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def test_equal_rows_matched_once(tmp_path):
+    # 12 parallel edges, the identity declared periodic of order 13, at
+    # sigma -12: the class of 12 equal rows and one zero row has no delta,
+    # and equal rows not yet placed are tried once, not in all 12! orders
+    p = tmp_path / "case.json"
+    p.write_text(json.dumps({
+        "name": "P12", "vertices": 2, "edges": [[0, 1, -1]] * 12,
+        "symmetry": {"vertex_perm": [0, 1], "order": 13,
+                     "kind": "periodic"},
+        "sigma": -12}))
+    done = run_limited(["obstruct", str(p)])
+    assert done.returncode == 0, done.stderr
+    assert "embedding classes: 5\n" in done.stdout
 
 
 def test_star_leaf_dropped_in_bounded_memory(tmp_path):

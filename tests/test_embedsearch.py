@@ -10,6 +10,8 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
                     donaldson_obstruction, enumerate_embeddings,
                     enumerate_vectors, equivariant_delta, gl_lattice,
                     induced_isometry, orbit_classes)
+from eqknot import embedsearch
+from eqknot.checkerboard import _signed_order
 from eqknot.cli import parse_case
 from eqknot.embedsearch import _orbit_size, _zero_cycles
 from eqknot.lattice import is_positive_definite, mat_mul
@@ -18,7 +20,8 @@ from conftest import (brute_force_classes, brute_force_embeddings,
                       dense_bareiss_inertia, dense_mat_mul,
                       exhaustive_delta_exists, identity,
                       orbit_size_by_factorials, pool_embedding_classes,
-                      random_unimodular, signed_perm_matrix, transpose)
+                      random_unimodular, signed_perm_matrix,
+                      signed_perm_order, transpose)
 
 
 class TestEnumerateVectors:
@@ -399,7 +402,7 @@ def test_rejects_non_int_entries(cls, args):
 
 
 class TestSignedPermutation:
-    def test_order_from_cycles(self):
+    def test_order_from_cycles(self, rng):
         # 2-cycle with sign product -1 squares to -Id on the pair: order 4
         p = SignedPermutation([1, 0], [1, -1])
         assert p.order() == 4
@@ -407,6 +410,25 @@ class TestSignedPermutation:
         assert q.order() == 2
         assert SignedPermutation([0, 1], [1, 1]).order() == 1
         assert SignedPermutation([0, 1], [-1, 1]).order() == 2
+        # random signed permutations against the conftest oracle, and
+        # _signed_order on a union of cycles against the oracle on the
+        # permutation that fixes every other point with sign +1
+        for _ in range(300):
+            k = rng.randint(1, 10)
+            perm = list(range(k))
+            rng.shuffle(perm)
+            signs = [rng.choice([1, -1]) for _ in range(k)]
+            assert (SignedPermutation(perm, signs).order()
+                    == signed_perm_order(perm, signs))
+            points = set()
+            for i in rng.sample(range(k), rng.randint(0, k)):
+                while i not in points:
+                    points.add(i)
+                    i = perm[i]
+            inside = [perm[i] if i in points else i for i in range(k)]
+            inside_signs = [signs[i] if i in points else 1 for i in range(k)]
+            assert (_signed_order(perm, signs, sorted(points))
+                    == signed_perm_order(inside, inside_signs))
 
     def test_matrix_orthogonal(self, rng):
         for _ in range(50):
@@ -558,6 +580,20 @@ class TestEquivariantDelta:
         assert d.order() == 3
         moved = [i for i in range(1201) if (d.perm[i], d.signs[i]) != (i, 1)]
         assert moved == [1198, 1199, 1200]
+
+    def test_leaf_builds_no_signed_permutation(self, monkeypatch):
+        # six equal rows, R = (-1) and order 3 have no delta; no leaf
+        # builds a SignedPermutation over the 1,006 rows to take its order
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return SignedPermutation(*args)
+
+        monkeypatch.setattr(embedsearch, "SignedPermutation", counting)
+        E = Embedding(1006, [(1,)] * 6 + [(0,)] * 1000)
+        assert equivariant_delta(E, [[-1]], 3) is None
+        assert built == []
 
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
         # c copies of +-e_i for each i and z zero rows, shuffled, and R a
