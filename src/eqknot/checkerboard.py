@@ -20,7 +20,7 @@ class CheckerboardGraph(_Frozen):
     """A connected signed multigraph: vertices 0..vertex_count-1 and edges
     (u, v, w) with u != v and weight w = +1 or -1, all ints (not bools).
     `gl_lattice` keeps the lattices it builds in the private slot `_gl`,
-    by dropped vertex, so their kept inertia is shared."""
+    keyed by the tuple of kept vertices, so their kept inertia is shared."""
 
     __slots__ = ("vertex_count", "edges", "name", "_gl")
     _fields = ("vertex_count", "edges", "name")
@@ -74,15 +74,16 @@ class SymmetrySpec(_Frozen):
     checkerboard graph.
 
     lift_sign is the sign relating the branched-cover action to the
-    surface-level action: +1 for periodic symmetries; for strong inversions
-    it depends on which half-axis the checkerboard surface contains, and
-    must be supplied explicitly by the caller.
+    surface-level action. For a periodic symmetry None means +1; for a
+    strong inversion it depends on which half-axis the checkerboard
+    surface contains, so it must be given, and None raises ValueError.
     """
 
     __slots__ = _fields = ("vertex_perm", "order", "kind", "lift_sign")
 
     def __init__(self, vertex_perm: Sequence[int], order: int,
-                 kind: str = "strong_inversion", lift_sign: int = 1):
+                 kind: str = "strong_inversion",
+                 lift_sign: Optional[int] = None):
         perm = tuple(vertex_perm)
         if (sorted(perm) != list(range(len(perm)))
                 or any(type(i) is not int for i in perm)):
@@ -93,6 +94,8 @@ class SymmetrySpec(_Frozen):
             raise ValueError("symmetry order must be >= 2")
         if kind == "strong_inversion" and order != 2:
             raise ValueError("strong inversions have order 2")
+        if lift_sign is None and kind == "periodic":
+            lift_sign = 1
         if type(lift_sign) is not int or lift_sign not in (1, -1):
             raise ValueError("lift_sign must be +1 or -1 (no auto mode)")
         index(order)  # TypeError unless order is an integer
@@ -170,14 +173,12 @@ def gl_lattice(g: CheckerboardGraph,
                dropped_vertex: Optional[int] = None) -> GramLattice:
     """The Gordon-Litherland lattice on H_1 of the checkerboard surface:
     the full form with one vertex's row and column deleted. Rank n-1.
-    Built once per graph and dropped vertex (kept in `g._gl`)."""
-    keep = _kept_vertices(g.vertex_count, dropped_vertex)
-    dropped = g.vertex_count - 1 if dropped_vertex is None else dropped_vertex
-    if dropped not in g._gl:
+    Built once per graph and set of kept vertices (kept in `g._gl`)."""
+    keep = tuple(_kept_vertices(g.vertex_count, dropped_vertex))
+    if keep not in g._gl:
         full = _gl_matrix(g)
-        g._gl[dropped] = GramLattice([[full[i][j] for j in keep]
-                                      for i in keep])
-    return g._gl[dropped]
+        g._gl[keep] = GramLattice([[full[i][j] for j in keep] for i in keep])
+    return g._gl[keep]
 
 
 def _kept_vertices(n: int, dropped_vertex: Optional[int]) -> list[int]:

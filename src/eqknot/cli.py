@@ -5,7 +5,9 @@ Case file schema (JSON object):
   vertices: integer vertex count
   edges: array of [u, v, weight]
   symmetry: {vertex_perm: array, order: int,
-             kind: "periodic" | "strong_inversion", lift_sign: 1 | -1}
+             kind: "periodic" | "strong_inversion" (default),
+             lift_sign: 1 | -1, optional (+1) for a periodic symmetry and
+             required for a strong inversion}
   positive_crossings: optional int from 0 to the number of edges
   sigma: optional even int (overrides the computed signature)
   bounds: optional object with BoundsInput fields
@@ -14,7 +16,8 @@ Exit codes: 0 computed (any verdict), 2 input error, 3 theorem hypothesis
 unmet. Obstruction verdicts are data, not exit statuses. Each error is a
 `lattice.InputError` raised where its rule is checked, here or in the
 library; `main` prints "error CODE: message", `batch` a "CODE: message"
-row. Exit 2: IO, SCHEMA, LOOP_EDGE, NOT_AUTOMORPHISM, SIGMA_MISMATCH,
+row. The commands return nothing: `main` alone sets the exit status.
+Exit 2: IO, SCHEMA, LOOP_EDGE, NOT_AUTOMORPHISM, SIGMA_MISMATCH,
 MISSING_SIGMA. Exit 3, a `lattice.HypothesisError`: NOT_DEFINITE,
 POSITIVE_SIGMA, NOT_INVOLUTION.
 """
@@ -49,7 +52,6 @@ class KnotCase(NamedTuple):
     name: str
     graph: CheckerboardGraph
     symmetry: SymmetrySpec
-    positive_crossings: Optional[int] = None
     sigma_K: Optional[int] = None
     bounds_extras: Optional[BoundsInput] = None
 
@@ -79,7 +81,7 @@ def parse_case(doc) -> KnotCase:
     try:
         spec = SymmetrySpec(sym["vertex_perm"], sym["order"],
                             sym.get("kind", "strong_inversion"),
-                            sym.get("lift_sign", 1))
+                            sym.get("lift_sign"))
     except KeyError as e:
         raise InputError("SCHEMA", f"symmetry missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -112,8 +114,8 @@ def parse_case(doc) -> KnotCase:
         if unknown:
             raise InputError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
         extras = _bounds_input(b)
-    return KnotCase(name=name, graph=graph, symmetry=spec,
-                    positive_crossings=pc, sigma_K=sig, bounds_extras=extras)
+    return KnotCase(name=name, graph=graph, symmetry=spec, sigma_K=sig,
+                    bounds_extras=extras)
 
 
 def _bounds_input(fields: dict) -> BoundsInput:
@@ -170,7 +172,7 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
 
 
 def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
-                   sign_mode: str) -> tuple[ObstructionReport, int]:
+                   sign_mode: str) -> ObstructionReport:
     G = gl_lattice(case.graph, drop_vertex)
     # checked here, not only in enumerate_embeddings: NOT_DEFINITE comes
     # before MISSING_SIGMA, with a message of its own
@@ -179,14 +181,12 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
             "NOT_DEFINITE",
             "Gordon-Litherland lattice is not positive definite; the "
             "embedding theorem does not apply")
-    sigma = case.sigma_K
-    if sigma is None:
+    if case.sigma_K is None:
         raise InputError("MISSING_SIGMA",
                          "need 'sigma' or 'positive_crossings' to set k")
     R = induced_isometry(case.graph, case.symmetry, drop_vertex)
-    rep = donaldson_obstruction(G, R, sigma, case.symmetry.order,
-                                sign_mode=sign_mode)
-    return rep, sigma
+    return donaldson_obstruction(G, R, case.sigma_K, case.symmetry.order,
+                                 sign_mode=sign_mode)
 
 
 def _print_obstruction(doc: dict, out):
@@ -242,9 +242,6 @@ def _load_gram(path: str, involution: bool = False
                 and _ints(row) for row in M)):
             raise InputError("SCHEMA",
                              f"'{key}' must be a square integer matrix")
-    if involution and len(raw["involution"]) != len(raw["gram"]):
-        raise InputError("SCHEMA",
-                         "'involution' and 'gram' must have the same size")
     try:
         G = GramLattice(raw["gram"])
     except ValueError as e:
@@ -252,20 +249,19 @@ def _load_gram(path: str, involution: bool = False
     return G, raw.get("involution")
 
 
-def cmd_obstruct(args, out) -> int:
+def cmd_obstruct(args, out):
     case = parse_case(_load(args.file))
-    rep, sigma = _obstruct_case(case, args.drop_vertex, args.sign_mode)
-    doc = obstruction_to_dict(rep)
+    doc = obstruction_to_dict(
+        _obstruct_case(case, args.drop_vertex, args.sign_mode))
     doc["name"] = case.name
-    doc["sigma"] = sigma
+    doc["sigma"] = case.sigma_K
     if args.json:
         print(json.dumps(doc, indent=2), file=out)
     else:
         _print_obstruction(doc, out)
-    return EXIT_OK
 
 
-def cmd_gsig(args, out) -> int:
+def cmd_gsig(args, out):
     given = [flag for flag, value in (("a case file", args.file),
                                       ("--gram", args.gram),
                                       ("--period", args.period))
@@ -309,10 +305,9 @@ def cmd_gsig(args, out) -> int:
     else:
         for k, v in doc.items():
             print(f"{k}: {v}", file=out)
-    return EXIT_OK
 
 
-def cmd_bounds(args, out) -> int:
+def cmd_bounds(args, out):
     inp = _bounds_input(dict(
         period_n=args.period, sigma_K=args.sigma,
         sigma_quotient=args.quotient_sigma,
@@ -324,10 +319,9 @@ def cmd_bounds(args, out) -> int:
         print(json.dumps(doc, indent=2), file=out)
     else:
         _print_bounds(doc, out)
-    return EXIT_OK
 
 
-def cmd_embed(args, out) -> int:
+def cmd_embed(args, out):
     G, _ = _load_gram(args.gram)
     embs = enumerate_embeddings(G, args.k)
     classes = orbit_classes(embs)
@@ -347,21 +341,20 @@ def cmd_embed(args, out) -> int:
             print(f"  class {idx} (orbit size {cls['orbit_size']}):", file=out)
             for row in cls["representative"]:
                 print(f"    {row}", file=out)
-    return EXIT_OK
 
 
 def _batch_row(path: Path, sign_mode: str) -> dict:
     try:
         case = parse_case(_load(path))
-        rep, sigma = _obstruct_case(case, None, sign_mode)
+        rep = _obstruct_case(case, None, sign_mode)
         binp = case.bounds_extras or BoundsInput()
         if binp.sigma_K is None:
-            binp = binp._replace(sigma_K=sigma)
+            binp = binp._replace(sigma_K=case.sigma_K)
         brep = aggregate(binp, obstruction=rep)
         return {
             "name": case.name,
             "file": path.name,
-            "sigma": sigma,
+            "sigma": case.sigma_K,
             "k": rep.k,
             "classes": rep.class_count,
             "obstructed": rep.obstructed,
@@ -373,7 +366,7 @@ def _batch_row(path: Path, sign_mode: str) -> dict:
                 "error": f"{e.code}: {e}"}
 
 
-def cmd_batch(args, out) -> int:
+def cmd_batch(args, out):
     root = Path(args.directory)
     if not root.is_dir():
         raise InputError("IO", f"not a directory: {args.directory}")
@@ -382,7 +375,7 @@ def cmd_batch(args, out) -> int:
     if args.json:
         for row in rows:
             print(json.dumps(row, sort_keys=True), file=out)
-        return EXIT_OK
+        return
     header = (f"{'name':16s} {'sigma':>5s} {'k':>3s} {'classes':>7s} "
               f"{'obstructed':>10s} {'lower':>5s} {'upper':>5s}")
     print(header, file=out)
@@ -394,7 +387,6 @@ def cmd_batch(args, out) -> int:
                   f"{row['classes']:>7d} {str(row['obstructed']):>10s} "
                   f"{str(row['best_lower']):>5s} {str(row['best_upper']):>5s}",
                   file=out)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,12 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="emit the JSON report")
 
+    def sign_mode(sp):
+        sp.add_argument("--sign-mode", choices=("strict", "both"),
+                        default="strict")
+
+    def drop_vertex(sp):
+        sp.add_argument("--drop-vertex", type=int, default=None)
+
+    def period(sp):
+        for flag in ("--period", "--sigma", "--quotient-sigma"):
+            sp.add_argument(flag, type=int, default=None)
+
     ob = sub.add_parser("obstruct", help="equivariant embedding obstruction")
     ob.add_argument("file")
-    ob.add_argument("--sign-mode", choices=("strict", "both"),
-                    default="strict")
-    ob.add_argument("--drop-vertex", type=int, default=None,
-                    dest="drop_vertex")
+    sign_mode(ob)
+    drop_vertex(ob)
     common(ob)
     ob.set_defaults(func=cmd_obstruct)
 
@@ -421,20 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("file", nargs="?", default=None)
     gs.add_argument("--gram", default=None,
                     help="JSON file with 'gram' and 'involution' matrices")
-    gs.add_argument("--period", type=int, default=None)
-    gs.add_argument("--sigma", type=int, default=None)
-    gs.add_argument("--quotient-sigma", type=int, default=None,
-                    dest="quotient_sigma")
-    gs.add_argument("--drop-vertex", type=int, default=None,
-                    dest="drop_vertex")
+    period(gs)
+    drop_vertex(gs)
     common(gs)
     gs.set_defaults(func=cmd_gsig)
 
     bd = sub.add_parser("bounds", help="aggregate genus bounds")
-    bd.add_argument("--period", type=int, default=None)
-    bd.add_argument("--sigma", type=int, default=None)
-    bd.add_argument("--quotient-sigma", type=int, default=None,
-                    dest="quotient_sigma")
+    period(bd)
     bd.add_argument("--quotient-g4top", type=int, default=None,
                     dest="quotient_g4top")
     bd.add_argument("--lambda", type=int, default=None, dest="linking")
@@ -457,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bt = sub.add_parser("batch", help="process a directory of case files")
     bt.add_argument("directory")
-    bt.add_argument("--sign-mode", choices=("strict", "both"),
-                    default="strict")
+    sign_mode(bt)
     common(bt)
     bt.set_defaults(func=cmd_batch)
     return p
@@ -468,11 +461,12 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        args.func(args, out)
     except InputError as e:
         print(f"error {e.code}: {e}", file=sys.stderr)
         return (EXIT_HYPOTHESIS if isinstance(e, HypothesisError)
                 else EXIT_INPUT)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

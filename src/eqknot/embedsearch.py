@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry, _signed_order
 from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
-                      _as_matrix, _Frozen, _ints, is_positive_definite,
-                      mat_mul)
+                      _as_matrix, _Frozen, _gram, _ints,
+                      is_positive_definite, mat_mul)
 
 
 class Embedding(_Frozen):
@@ -231,8 +231,7 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     """
     if k < 0:
         raise InputError("SCHEMA", "k must be >= 0")
-    if not isinstance(G, GramLattice):
-        G = GramLattice(G)
+    G = _gram(G)
     if not is_positive_definite(G):
         raise HypothesisError("NOT_DEFINITE", "form is not positive definite")
     g = G.gram
@@ -461,8 +460,7 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     order `order` intertwining R. With sign_mode="both", -R is also tried,
     so "obstructed" is only reported when both sign conventions fail.
     """
-    if not isinstance(G, GramLattice):
-        G = GramLattice(G)
+    G = _gram(G)
     if sigma_K > 0:
         raise HypothesisError("POSITIVE_SIGMA", "stated for sigma(K) <= 0; "
                               "mirror the knot first")
@@ -474,7 +472,6 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     embeddings = enumerate_embeddings(G, k)
     classes = orbit_classes(embeddings)
     per_class = []
-    any_delta = False
     minus_R = (tuple([tuple([-x for x in row]) for row in R.matrix])
                if sign_mode == "both" else None)
     for rep, _size in classes:
@@ -482,8 +479,7 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
         if delta is None and minus_R is not None:
             delta = equivariant_delta(rep, minus_R, order)
         per_class.append((rep, delta))
-        any_delta = any_delta or delta is not None
-    obstructed = not any_delta
+    obstructed = all(d is None for _, d in per_class)
     if obstructed:
         conclusion = (f"no equivariant embedding into (Z^{k}, Id): "
                       f"equivariant 4-genus > {-sigma_K // 2}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .lattice import (GramLattice, HypothesisError, InputError, _as_matrix,
-                      _inertia, _row_mul, _rows)
+                      _gram, _inertia, _row_mul, _rows)
 
 
 class GSignatureReport(NamedTuple):
@@ -35,8 +35,7 @@ def gsig_involution(G: GramLattice | Sequence[Sequence[int]],
     R preserving G, as sigma(G + G R) - sigma(G - G R). R^2 = I and the
     symmetry of G R are checked on sparse rows, and G +- G R goes to the
     elimination as sparse rows."""
-    if not isinstance(G, GramLattice):
-        G = GramLattice(G)
+    G = _gram(G)
     Rm = _as_matrix(R)
     n = G.rank
     if len(Rm) != n or any(len(row) != n for row in Rm):
@@ -80,10 +79,7 @@ def gsig_periodic(n: int, sigma_K: int, sigma_quotient: int) -> Fraction:
 def gsig_direct_sum(G1, R1, G2, R2) -> GSignatureReport:
     """g-signature of the block sum; additive under equivariant connect
     sum, so it equals gsig(G1,R1) + gsig(G2,R2)."""
-    if not isinstance(G1, GramLattice):
-        G1 = GramLattice(G1)
-    if not isinstance(G2, GramLattice):
-        G2 = GramLattice(G2)
+    G1, G2 = _gram(G1), _gram(G2)
     n1, n2 = G1.rank, G2.rank
 
     def block_sum(A, B):  # whole rows, so a mis-sized R fails the rank check

@@ -169,6 +169,11 @@ class GramLattice(_Frozen):
         return len(self.gram)
 
 
+def _gram(G: GramLattice | Sequence[Sequence]) -> GramLattice:
+    """G if it is a GramLattice, else the GramLattice that checks it."""
+    return G if isinstance(G, GramLattice) else GramLattice(G)
+
+
 class SignatureTriple(NamedTuple):
     """Inertia of a symmetric form: counts of positive, negative, zero
     diagonal entries after congruence diagonalization."""
@@ -187,8 +192,7 @@ def signature(G: GramLattice | Sequence[Sequence]) -> SignatureTriple:
     a GramLattice is checked by building one; the elimination is
     `_inertia` on the sparse rows of the form, run once per GramLattice,
     which keeps the result and the determinant in `_det`."""
-    if not isinstance(G, GramLattice):
-        G = GramLattice(G)
+    G = _gram(G)
     if G._sig is None:
         sig, det = _inertia(_rows(G.gram))
         object.__setattr__(G, "_sig", sig)

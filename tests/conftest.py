@@ -34,7 +34,7 @@ import pytest
 
 from eqknot import (CheckerboardGraph, Embedding, SignedPermutation,
                     enumerate_vectors)
-from eqknot.embedsearch import EmbeddingSet, _orbit_size
+from eqknot.embedsearch import EmbeddingSet
 from eqknot.lattice import (GramLattice, _as_matrix, is_positive_definite,
                             mat_mul)
 
@@ -283,8 +283,9 @@ def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
     is all zero (always the last block). The search keeps one list of
     live candidates per later column, in pool order. Placing v in column
     j keeps in each later list t only the w with v . w = G[j][t], and the
-    node is pruned when one list is empty. Orbit sizes come from a closed
-    formula (`_orbit_size`).
+    node is pruned when one list is empty. Orbit sizes come from the
+    factorials (`orbit_size_by_factorials`), not from the search's own
+    closed formula, so the two are compared.
     """
     if not isinstance(G, GramLattice):
         G = GramLattice(G)
@@ -305,7 +306,8 @@ def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
         # zero: the first row whose prefix is all zero (k if none)
         if j == m:
             rows = tuple(zip(*cols)) if cols else ((),) * k
-            classes.append((Embedding(k, rows), _orbit_size(rows)))
+            classes.append((Embedding(k, rows),
+                            orbit_size_by_factorials(rows)))
             return
         for v in live[0]:
             if (zero < k and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):

@@ -387,3 +387,8 @@ class TestSymmetrySpec:
         for sign in (0, 1.0, -1.0, True, False, "1"):
             with pytest.raises(ValueError, match="lift_sign must be"):
                 SymmetrySpec([1, 0], 2, "strong_inversion", sign)
+
+    def test_lift_sign_required_for_strong_inversion_only(self):
+        with pytest.raises(ValueError, match="lift_sign must be"):
+            SymmetrySpec([1, 0], 2)
+        assert SymmetrySpec([1, 2, 0], 3, "periodic").lift_sign == 1

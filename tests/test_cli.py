@@ -512,6 +512,26 @@ def test_non_int_weight_or_lift_sign_exit_2(command, field, value, message,
     assert err.startswith("error SCHEMA") and message in err
 
 
+@pytest.mark.parametrize("command", ["obstruct", "gsig", "batch"])
+def test_strong_inversion_without_lift_sign_rejected(command, tmp_path,
+                                                     capsys):
+    # one -1 crossing swapped by a strong inversion, sigma 0: lift sign 1
+    # gives no obstruction and g-signature -1, lift sign -1 an obstruction
+    # and g-signature 1, so no default is taken
+    case = {"name": "swap", "vertices": 2, "edges": [[0, 1, -1]],
+            "symmetry": {"vertex_perm": [1, 0], "order": 2,
+                         "kind": "strong_inversion"}, "sigma": 0}
+    (tmp_path / "swap.json").write_text(json.dumps(case))
+    message = "bad symmetry: lift_sign must be +1 or -1 (no auto mode)"
+    if command == "batch":
+        code, out = run(["batch", str(tmp_path), "--json"])
+        assert (code, json.loads(out)["error"]) == (0, f"SCHEMA: {message}")
+    else:
+        code, out = run([command, str(tmp_path / "swap.json")])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error SCHEMA: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["obstruct", "gsig"])
 @pytest.mark.parametrize("doc, message", [
     ({"vertices": True, "edges": [], "vertex_perm": [0]},

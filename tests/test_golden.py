@@ -1,7 +1,8 @@
 """Golden CLI transcripts: stdout, stderr and the exit code of `obstruct`,
 `gsig`, `embed`, `bounds` and `batch`, text and `--json`, on
-`tests/fixtures` and on small cases written here, compared byte for byte
-with `tests/fixtures/golden/<id>.txt`.
+`tests/fixtures` and on small cases written here, and the stdout of each
+`demos/<stem>.py` (id `demo_<stem>`), compared byte for byte with
+`tests/fixtures/golden/<id>.txt`.
 
 A change that means to alter the output rewrites the expected files with
 `PYTHONPATH=src python tests/test_golden.py` and shows the diff.
@@ -10,6 +11,7 @@ A change that means to alter the output rewrites the expected files with
 import contextlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -19,6 +21,8 @@ from eqknot.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
+DEMOS = {f"demo_{p.stem}": p for p in sorted(
+    (Path(__file__).parent.parent / "demos").glob("*.py"))}
 
 
 def _cycle(n, perm, order, kind, lift_sign):
@@ -139,6 +143,14 @@ def transcript(argv, dirs) -> str:
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
+def demo_transcript(path: Path) -> str:
+    """What the demo at path prints, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return f"$ python demos/{path.name}\n--- stdout\n{out.getvalue()}"
+
+
 @pytest.fixture(scope="module")
 def dirs(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("golden"))
@@ -149,9 +161,14 @@ def test_cli_transcript(cid, argv, dirs):
     assert transcript(argv, dirs) == (GOLDEN / f"{cid}.txt").read_text()
 
 
+@pytest.mark.parametrize("did", sorted(DEMOS))
+def test_demo_transcript(did):
+    assert demo_transcript(DEMOS[did]) == (GOLDEN / f"{did}.txt").read_text()
+
+
 def test_no_stale_expected_files():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(
-        c for c, _ in COMMANDS)
+        [c for c, _ in COMMANDS] + list(DEMOS))
 
 
 if __name__ == "__main__":
@@ -163,4 +180,7 @@ if __name__ == "__main__":
             old.unlink()
         for cid, argv in COMMANDS:
             (GOLDEN / f"{cid}.txt").write_text(transcript(argv, d))
-    print(f"wrote {len(COMMANDS)} transcripts to {GOLDEN}", file=sys.stderr)
+    for did, path in DEMOS.items():
+        (GOLDEN / f"{did}.txt").write_text(demo_transcript(path))
+    print(f"wrote {len(COMMANDS) + len(DEMOS)} transcripts to {GOLDEN}",
+          file=sys.stderr)

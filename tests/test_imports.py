@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, or
 re-exported through its __all__, every module-level private function
 is referenced somewhere in the package, every public one is referenced
-in the package, exported or named by a demo, and importing the CLI
-leaves out the modules that only slow start-up."""
+in the package, exported or named by a demo, every field of a
+NamedTuple record is read in the package or a demo, and importing the
+CLI leaves out the modules that only slow start-up."""
 
 import ast
 import os
@@ -125,6 +126,49 @@ def test_no_unused_public_functions():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     demos = [path.read_text() for path in sorted(ROOT.glob("demos/*.py"))]
     assert unused_public_functions(sources, eqknot.__all__, demos) == []
+
+
+def unread_record_fields(sources: list[str], readers: list[str]) -> list[str]:
+    """The fields, as `Class.field`, of the NamedTuple classes in sources
+    whose name no Attribute node in sources or readers loads."""
+    fields, read = [], set()
+    for tree in map(ast.parse, sources + readers):
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                    for b in node.bases):
+                fields += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)]
+    return sorted(f"{cls}.{field}" for cls, field in fields
+                  if field not in read)
+
+
+def test_checker_finds_unread_fields():
+    sources = ["import typing\n"
+               "from typing import NamedTuple\n"
+               "class Pair(NamedTuple):\n"
+               "    left: int\n"
+               "    right: int = 0\n"
+               "    def first(self): return self.left\n"
+               "class Report(typing.NamedTuple):\n"
+               "    shown: str\n"
+               "    hidden: str\n"
+               "class Plain:\n"
+               "    unread: int\n"
+               "p = Pair(1, right=2)\n"
+               "p.hidden = 3\n"]
+    demos = ["print(report.shown)\n"]
+    assert unread_record_fields(sources, demos) == ["Pair.right",
+                                                    "Report.hidden"]
+
+
+def test_every_record_field_is_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    demos = [path.read_text() for path in sorted(ROOT.glob("demos/*.py"))]
+    assert unread_record_fields(sources, demos) == []
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -530,7 +530,7 @@ def _values():
     return [GramLattice([[2, -1], [-1, 3]]),
             CheckerboardGraph(2, [(0, 1, -1)], name="c2"),
             CheckerboardGraph(3, [[0, 1, 1], [1, 2, -1]]),
-            SymmetrySpec([1, 0], 2),
+            SymmetrySpec([1, 0], 2, lift_sign=1),
             SymmetrySpec([1, 2, 0], 3, "periodic", -1),
             Embedding(2, [[1, 0], [0, -1]]),
             SignedPermutation([1, 0], [1, -1])]
