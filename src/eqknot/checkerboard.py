@@ -216,8 +216,6 @@ def induced_isometry(g: CheckerboardGraph, s: SymmetrySpec,
     in the basis of kept generators.
     """
     perm = s.vertex_perm
-    if len(perm) != g.vertex_count:
-        raise ValueError("permutation length does not match vertex count")
     if not is_automorphism(g, perm):
         raise ValueError("vertex_perm is not a weighted-graph automorphism")
     keep = _kept_vertices(g.vertex_count, dropped_vertex)

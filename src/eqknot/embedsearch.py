@@ -4,8 +4,9 @@ equivariant automorphism search.
 The obstruction: if the equivariant 4-genus equals -sigma/2 then the
 Gordon-Litherland lattice embeds into (Z^k, Id), k = -sigma + b_1, with a
 signed permutation delta of the ambient lattice satisfying
-delta . iota = iota . rho_* and order(delta) = order(rho). Exhausting all
-embedding classes and finding no such delta obstructs the genus value.
+delta . iota = iota . rho_* and delta^n = I, n the order of the symmetry
+rho. Exhausting all embedding classes and finding no such delta
+obstructs the genus value.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .checkerboard import LatticeIsometry, _signed_order
 from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
-                      _as_matrix, _Frozen, _gram, _ints,
+                      _as_matrix, _freeze, _Frozen, _gram, _ints,
                       is_positive_definite, mat_mul)
 
 
@@ -28,11 +29,9 @@ class Embedding(_Frozen):
     __slots__ = _fields = ("k", "matrix")
 
     def __init__(self, k: int, matrix: Sequence[Sequence[int]]):
-        rows = tuple([tuple(row) for row in matrix])
+        rows = _freeze(matrix)
         if len(rows) != k:
             raise ValueError("embedding matrix must have k rows")
-        if not all(map(_ints, rows)):
-            raise ValueError("embedding entries must be ints")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
 
@@ -320,79 +319,34 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     return list(embeddings.classes)
 
 
-def _zero_cycles(o1: int, required: int, z: int
-                 ) -> Optional[tuple[list[int], list[int]]]:
-    """The (perm, signs) of the lexicographically first signed permutation
-    of z points whose order o2 has lcm(o1, o2) = required, or None.
-
-    o2 must be a multiple of the full power p^a of each prime p of
-    required/o1, and the least o2, the product of those, fits on the
-    fewest points: a p^a-cycle for each odd p, and for p = 2 a
-    2^(a-1)-cycle with sign product -1, except that for a = 1 that -1
-    goes on the last odd cycle, if there is one. The cycles go on the
-    last points, shortest first, each as i -> i + 1 with its sign on its
-    last point; the points before stay fixed with sign +1. None when
-    o1 does not divide required or the cycles need more than z points;
-    trial division stops once a prime passes z, so a huge order costs
-    O(min(z, sqrt(required)))."""
-    if required % o1:
-        return None
-    rest, p, cycles = required // o1, 2, []
-    while rest > 1 and p <= z + 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            q = p
-            while required % (q * p) == 0:
-                q *= p
-            while rest % p == 0:
-                rest //= p
-            cycles.append([q // 2, -1] if p == 2 else [q, 1])
-        p += 1
-    cycles.sort()
-    if cycles[:1] == [[1, -1]] and len(cycles) > 1:
-        cycles[-1][1] = -1
-        del cycles[0]
-    start = z - sum(length for length, _ in cycles)
-    if rest > 1 or start < 0:
-        return None
-    perm, signs = list(range(z)), [1] * z
-    for length, sign in cycles:
-        start += length
-        perm[start - length:start] = [*range(start - length + 1, start),
-                                      start - length]
-        signs[start - 1] = sign
-    return perm, signs
-
-
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
                       required_order: int) -> Optional[SignedPermutation]:
-    """A signed permutation P with P.E = E.R of exact multiplicative order
-    required_order, or None.
+    """A signed permutation P with P.E = E.R and P^n = I, n =
+    required_order, that fixes each zero row of E with sign +1, or None.
 
-    Each row i of P must send some row of E to row i of T = E.R up to
-    sign, so P sends zero rows of E onto the zero rows of T. These
-    include the z zero rows of E, and when there are more (R singular)
-    there is no P. Otherwise P splits into a block on the nonzero rows,
-    of order o1, and a block on the zero rows, of order o2, which meets
-    the rest only through P's order lcm(o1, o2). So a P exists iff some
-    nonzero-row block has o1 dividing required_order and the least o2
-    that completes the lcm fits on z points. The search backtracks over
-    the nonzero rows only, fewest candidates first; P maps them onto
-    themselves, so a leaf reads o1 off their cycles and takes the
-    zero-row block from `_zero_cycles`. For each sign only the first
-    unused candidate j not yet placed is tried: any other such j' is an
-    equal row of E, so swapping e_j and e_j' maps the branch of j onto
-    that of j', keeping each leaf's cycle type and signs. As j's leaves
-    come first, the P found, or None, is that of the full search.
+    delta is how the lifted order-n symmetry acts on (Z^k, Id), so the
+    theorem gives delta^n = I, not order exactly n. Each row i of P must
+    send some row of E to row i of T = E.R up to sign, so P sends zero
+    rows of E onto the zero rows of T. These include the z zero rows of
+    E, and when there are more (R singular) there is no P. Otherwise P
+    splits into a block on the nonzero rows, of order o1, and one on the
+    zero rows, and P^n = I needs o1 to divide n whatever the second
+    block is. So P keeps the zero rows fixed, and a P exists iff some
+    nonzero-row block has o1 dividing n. The search backtracks over the
+    nonzero rows only, fewest candidates first; P maps them onto
+    themselves, so a leaf reads o1 off their cycles. For each sign only
+    the first unused candidate j not yet placed is tried: any other such
+    j' is an equal row of E, so swapping e_j and e_j' maps the branch of
+    j onto that of j', keeping each leaf's cycle type and signs. As j's
+    leaves come first, the P found, or None, is that of the full search,
+    and so that of a search over all rows (fewest candidates first, j
+    ascending, sign +1 before -1), which tries the identity on the zero
+    rows first.
 
-    It returns the P of a search over all rows (fewest candidates first,
-    2z of them for a zero row, j ascending and sign +1 before -1) when
-    the zero rows of E come last, as in a canonical E, and no nonzero
-    row has more than 2z candidates: that search then meets the zero
-    rows right after the nonzero rows, and there it takes the
-    lexicographically first block that completes the order, the one
-    `_zero_cycles` builds.
+    Where R has order n, P has order n: P^o1 = I gives E.R^o1 = P^o1.E
+    = E, and E has full column rank (E^T E = G is definite), so
+    R^o1 = I and n divides o1, which divides n. So only where ord(R) is
+    a proper divisor of n can a P exist with none of order exactly n.
     """
     Rm = _as_matrix(R)
     m = E.source_rank
@@ -400,7 +354,6 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
         raise ValueError("isometry dimension does not match embedding source")
     k = E.k
     T = mat_mul(E.matrix, Rm)
-    zero = [j for j, row in enumerate(E.matrix) if not any(row)]
     # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
     row_index: dict[tuple[int, ...], list[int]] = {}
     for j, row in enumerate(E.matrix):
@@ -423,12 +376,8 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
 
     def search(pos: int) -> Optional[SignedPermutation]:
         if pos == len(order_rows):
-            o1 = _signed_order(perm, signs, order_rows)
-            block = _zero_cycles(o1, required_order, len(zero))
-            if block is None:
+            if required_order % _signed_order(perm, signs, order_rows):
                 return None
-            for i, j, s in zip(zero, *block):
-                perm[i], signs[i] = zero[j], s
             return SignedPermutation(perm, signs)
         i = order_rows[pos]
         tried = set()  # signs whose first row not yet placed was tried
@@ -456,9 +405,10 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     """Decide the equivariant embedding obstruction.
 
     Sets k = -sigma_K + rank(G), enumerates all embedding classes into
-    (Z^k, Id), and searches each class representative for a delta of exact
-    order `order` intertwining R. With sign_mode="both", -R is also tried,
-    so "obstructed" is only reported when both sign conventions fail.
+    (Z^k, Id), and searches each class representative for a delta with
+    delta^order = I intertwining R (`equivariant_delta`). With
+    sign_mode="both", -R is also tried, so "obstructed" is only reported
+    when both sign conventions fail.
     """
     G = _gram(G)
     if sigma_K > 0:

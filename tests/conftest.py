@@ -330,7 +330,7 @@ def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
 
 def delta_over_all_zero_rows(E: Embedding, R, required_order: int
                              ) -> Optional[SignedPermutation]:
-    """A signed permutation P with P.E = E.R of exact multiplicative order
+    """A signed permutation P with P.E = E.R whose order divides
     required_order, or None.
 
     Each row i of P must send some row of E to row i of E.R up to sign;
@@ -372,7 +372,7 @@ def delta_over_all_zero_rows(E: Embedding, R, required_order: int
     def search(pos: int) -> Optional[SignedPermutation]:
         if pos == k:
             P = SignedPermutation(tuple(perm), tuple(signs))
-            return P if P.order() == required_order else None
+            return P if required_order % P.order() == 0 else None
         i = order_rows[pos]
         for j, s in candidates[i]:
             if used[j]:
@@ -408,15 +408,15 @@ def signed_perm_order(perm, signs):
 
 
 def exhaustive_delta_exists(E, R, required_order):
-    """Existence of P with P.E = E.R and exact order, by scanning all
-    2^k * k! signed permutations. Only sensible for k <= 5."""
+    """Existence of P with P.E = E.R and P^required_order = I, by
+    scanning all 2^k * k! signed permutations. Only sensible for k <= 5."""
     k = E.k
     T = dense_mat_mul(E.matrix, R)
     for perm in itertools.permutations(range(k)):
         for signs in itertools.product((1, -1), repeat=k):
             if all(tuple(signs[i] * x for x in E.matrix[perm[i]]) == tuple(T[i])
                    for i in range(k)):
-                if signed_perm_order(perm, signs) == required_order:
+                if required_order % signed_perm_order(perm, signs) == 0:
                     return True
     return False
 

@@ -489,6 +489,45 @@ def test_bad_flag_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error SCHEMA") and "Traceback" not in err
 
 
+def _nine_40_with(**fields):
+    doc = json.loads(NINE_40.read_text())
+    doc.update(fields)
+    return doc
+
+
+# (id, case document or None, argv with CASE for its file, error line)
+INPUT_ERRORS = [
+    ("top_level_not_object", [1], ["obstruct", "CASE"],
+     "error SCHEMA: top level must be an object"),
+    ("name_not_string", _nine_40_with(name=5), ["obstruct", "CASE"],
+     "error SCHEMA: 'name' must be a string"),
+    ("symmetry_not_object", _nine_40_with(symmetry=[2, 3, 0, 1, 4]),
+     ["obstruct", "CASE"], "error SCHEMA: 'symmetry' must be an object"),
+    ("bounds_not_object", _nine_40_with(bounds=[1]), ["obstruct", "CASE"],
+     "error SCHEMA: 'bounds' must be an object"),
+    ("bounds_unknown_fields", _nine_40_with(bounds={"g4_K": 1, "x": 1}),
+     ["obstruct", "CASE"], "error SCHEMA: unknown bounds fields: ['x']"),
+    ("period_without_quotient_sigma", None,
+     ["gsig", "--period", "2", "--sigma", "-4"],
+     "error SCHEMA: --period needs --sigma and --quotient-sigma"),
+    ("gsig_no_input", None, ["gsig"],
+     "error SCHEMA: give a case file, --gram, or --period flags"),
+    ("batch_not_directory", _nine_40_with(), ["batch", "CASE"],
+     "error IO: not a directory: CASE"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, line", [row[1:] for row in INPUT_ERRORS],
+                         ids=[row[0] for row in INPUT_ERRORS])
+def test_input_error_line(doc, argv, line, tmp_path, capsys):
+    p = tmp_path / "case.json"
+    if doc is not None:
+        p.write_text(json.dumps(doc))
+    code, out = run([str(p) if a == "CASE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == line.replace("CASE", str(p)) + "\n"
+
+
 @pytest.mark.parametrize("command", ["obstruct", "gsig"])
 @pytest.mark.parametrize("field, value, message", [
     ("weight", -1.0, "edge weight must be +1 or -1"),
@@ -737,8 +776,7 @@ def test_huge_sigma_keeps_exit_contract(tmp_path):
     # sigma -1200 asks for embeddings into Z^1204, and --k 1100 for the
     # A2 form into Z^1100; E has at most tr(G) nonzero rows, so the
     # answer needs no more than tr(G) coordinates. A star of order 2520
-    # at sigma -2000 has 2000 zero rows, of which a delta needs to move
-    # at most 4 + 9 + 5 + 7
+    # at sigma -2000 has 2000 zero rows, which a delta fixes
     doc = json.loads(NINE_40.read_text())
     del doc["positive_crossings"]
     doc["sigma"] = -1200
@@ -800,10 +838,45 @@ def test_impossible_delta_order_is_no_obstruction(tmp_path):
     assert "obstructed: True" not in out
 
 
+UNKNOT_DIAGRAMS = {
+    # no crossing: one vertex, no edge, a strong inversion of each lift
+    # sign; k = 0 and the one class is the empty matrix
+    "0_crossings_plus": {"name": "U0", "vertices": 1, "edges": [],
+                         "symmetry": {"vertex_perm": [0], "order": 2,
+                                      "lift_sign": 1},
+                         "sigma": 0},
+    "0_crossings_minus": {"name": "U0", "vertices": 1, "edges": [],
+                          "symmetry": {"vertex_perm": [0], "order": 2,
+                                       "lift_sign": -1},
+                          "sigma": 0},
+    # one crossing: two vertices, one -1 edge, the swap with lift sign -1
+    "1_crossing": {"name": "U1", "vertices": 2, "edges": [[0, 1, -1]],
+                   "symmetry": {"vertex_perm": [1, 0], "order": 2,
+                                "lift_sign": -1},
+                   "sigma": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOT_DIAGRAMS))
+def test_unknot_is_not_obstructed(tmp_path, name):
+    # R = I here, so delta = I has delta^2 = I; requiring order exactly 2
+    # found no delta and claimed an equivariant 4-genus > 0 for the unknot
+    doc = UNKNOT_DIAGRAMS[name]
+    code, rep = _obstruct_json(tmp_path, doc)
+    assert code == 0
+    assert rep["obstructed"] is False
+    assert [c["delta"] is not None for c in rep["per_class"]] == [True]
+    code, out = run(["obstruct", str(tmp_path / "case.json")])
+    assert code == 0
+    assert "obstructed: False\n" in out
+    assert "4-genus > 0" not in out
+
+
 def test_huge_symmetry_order_answers_at_once(tmp_path):
     # a periodic symmetry may have any order its cycle lengths divide;
-    # the identity with a semiprime order near 10**18 leaves every
-    # class without a delta, found without factoring the order
+    # the identity with a semiprime order near 10**18 has R = I, so every
+    # class has delta = I (delta^n = I, not order exactly n), found
+    # without factoring the order
     doc = json.loads(NINE_40.read_text())
     del doc["positive_crossings"]
     doc["sigma"] = -4
@@ -815,7 +888,7 @@ def test_huge_symmetry_order_answers_at_once(tmp_path):
     done = run_limited(["obstruct", str(p), "--sign-mode", "both"])
     assert done.returncode == 0, done.stderr
     assert "embedding classes: 11\n" in done.stdout
-    assert "obstructed: True\n" in done.stdout
+    assert "obstructed: False\n" in done.stdout
 
 
 @pytest.mark.parametrize("n", [9, 15])
@@ -839,14 +912,17 @@ def test_rotated_cycle_with_lift_sign_minus_one_answers_at_once(tmp_path, n):
 
 
 def test_equal_rows_matched_once(tmp_path):
-    # 12 parallel edges, the identity declared periodic of order 13, at
-    # sigma -12: the class of 12 equal rows and one zero row has no delta,
-    # and equal rows not yet placed are tried once, not in all 12! orders
+    # 12 parallel edges, the identity declared periodic of order 13 with
+    # lift sign -1, at sigma -12: R = -I, so the class of 12 equal rows
+    # and one zero row has no delta (each cycle of length l < 13 has
+    # order 2l or l, even), and equal rows not yet placed are tried once,
+    # not in all 12! orders. With lift sign +1, R = I and delta = I is
+    # the first leaf
     p = tmp_path / "case.json"
     p.write_text(json.dumps({
         "name": "P12", "vertices": 2, "edges": [[0, 1, -1]] * 12,
         "symmetry": {"vertex_perm": [0, 1], "order": 13,
-                     "kind": "periodic"},
+                     "kind": "periodic", "lift_sign": -1},
         "sigma": -12}))
     done = run_limited(["obstruct", str(p)])
     assert done.returncode == 0, done.stderr

@@ -13,7 +13,7 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
 from eqknot import embedsearch
 from eqknot.checkerboard import _signed_order
 from eqknot.cli import parse_case
-from eqknot.embedsearch import _orbit_size, _zero_cycles
+from eqknot.embedsearch import _orbit_size
 from eqknot.lattice import is_positive_definite, mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       char_poly, conjugate, delta_over_all_zero_rows,
@@ -470,59 +470,6 @@ def _solve_isometry(E, P):
     return R if mat_mul(E.matrix, R) == T else None
 
 
-class TestZeroCycles:
-    @staticmethod
-    def first_of_each_order(z):
-        """{order: (position, perm, signs)} for the first signed
-        permutation of z points of each order, in the order a search over
-        z zero rows meets them: rows ascending, and for each the image j
-        ascending, (j, +1) before (j, -1)."""
-        perm, signs, used, seen = [0] * z, [0] * z, [False] * z, {}
-
-        def rec(i):
-            if i == z:
-                order = SignedPermutation(perm, signs).order()
-                seen.setdefault(order, (len(seen), list(perm), list(signs)))
-                return
-            for j in range(z):
-                if not used[j]:
-                    used[j] = True
-                    for s in (1, -1):
-                        perm[i], signs[i] = j, s
-                        rec(i + 1)
-                    used[j] = False
-
-        rec(0)
-        return seen
-
-    def test_lex_first_block(self):
-        # for z <= 5 points, every required order up to 30 and every o1
-        # up to 30: the first block whose order o2 has lcm(o1, o2) equal
-        # to the required order, or None when there is none, as whenever
-        # o1 does not divide it
-        found = Counter()
-        for z in range(6):
-            first = self.first_of_each_order(z)
-            for required in range(1, 31):
-                for o1 in range(1, 31):
-                    hits = [first[o] for o in first
-                            if math.lcm(o1, o) == required]
-                    want = min(hits)[1:] if hits else None
-                    assert _zero_cycles(o1, required, z) == want, (
-                        z, o1, required)
-                    found[required % o1 == 0, want is not None] += 1
-        assert found[True, True] > 200 and found[True, False] > 200
-        assert found[False, False] == 6 * 900 - 666
-
-    def test_sign_on_last_odd_cycle(self):
-        # two odd cycles need 8 points: order 30 as a 3-cycle and a
-        # 5-cycle whose sign product -1 sits on the last point, which the
-        # search over 8 points meets before the same -1 on the 3-cycle
-        assert _zero_cycles(1, 30, 8) == ([1, 2, 0, 4, 5, 6, 7, 3],
-                                          [1] * 7 + [-1])
-        assert _zero_cycles(5, 30, 3) == ([1, 2, 0], [1, 1, -1])
-
-
 class TestEquivariantDelta:
     def test_identity(self):
         E = Embedding(2, [(1, 0), (0, 1)])
@@ -547,8 +494,12 @@ class TestEquivariantDelta:
                 equivariant_delta(E, R, 1)
 
     def test_order_constraint_strict(self):
+        # delta^n = I, not order exactly n: R = I at n = 2 gives the
+        # identity, and R = -I, of order 2, has no delta with delta^3 = I
         E = Embedding(2, [(1, 0), (0, 1)])
-        assert equivariant_delta(E, [[1, 0], [0, 1]], 2) is None
+        assert (equivariant_delta(E, [[1, 0], [0, 1]], 2)
+                == SignedPermutation([0, 1], [1, 1]))
+        assert equivariant_delta(E, [[-1, 0], [0, -1]], 3) is None
 
     def test_singular_r_has_no_delta(self):
         # E.R has a zero row where E has none, so no P can send a zero
@@ -558,28 +509,26 @@ class TestEquivariantDelta:
             assert equivariant_delta(E, [[0]], order) is None
 
     def test_zero_rows_free(self):
-        # ambient rank exceeds the span: free rows complete to the order
+        # ambient rank exceeds the span: a delta whose order divides the
+        # required one
         E = Embedding(3, [(1,), (0,), (0,)])
         d = equivariant_delta(E, [[1]], 2)
-        assert d is not None and d.order() == 2
+        assert d is not None and 2 % d.order() == 0
         assert mat_mul(signed_perm_matrix(d), E.matrix) == E.matrix
 
     def test_surplus_zero_rows_fixed(self):
         # five equal rows and three zero rows, order 2: no zero row is
-        # searched, and the delta is the one the search over all three
-        # found, the last zero row negated
+        # searched, and R = (1) gives the identity
         E = Embedding(8, [(1,)] * 5 + [(0,)] * 3)
         d = equivariant_delta(E, [[1]], 2)
-        assert d == SignedPermutation(range(8), (1,) * 7 + (-1,))
+        assert d == SignedPermutation(range(8), (1,) * 8)
 
     def test_many_zero_rows(self):
-        # a 3-cycle on the last three of 1,200 zero rows, built without
-        # a search
+        # the 1,200 zero rows are fixed, so R = (1) at order 3 gives the
+        # identity without a search over them
         E = Embedding(1201, [(1,)] + [(0,)] * 1200)
         d = equivariant_delta(E, [[1]], 3)
-        assert d.order() == 3
-        moved = [i for i in range(1201) if (d.perm[i], d.signs[i]) != (i, 1)]
-        assert moved == [1198, 1199, 1200]
+        assert d == SignedPermutation(range(1201), (1,) * 1201)
 
     def test_leaf_builds_no_signed_permutation(self, monkeypatch):
         # six equal rows, R = (-1) and order 3 have no delta; no leaf
@@ -598,7 +547,7 @@ class TestEquivariantDelta:
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
         # c copies of +-e_i for each i and z zero rows, shuffled, and R a
         # signed permutation matrix: for required orders 1 to 6 the search
-        # over the nonzero rows, with the zero rows' block in closed form,
+        # over the nonzero rows, with the zero rows fixed,
         # finds the same P as the backtracking over all rows
         tested = 0
         while tested < 80:
@@ -672,7 +621,7 @@ class TestEquivariantDelta:
             if got is not None:
                 assert (mat_mul(signed_perm_matrix(got), E.matrix)
                         == mat_mul(E.matrix, R))
-                assert got.order() == req
+                assert req % got.order() == 0
             tested += 1
 
 

@@ -1,16 +1,20 @@
 """The coded errors: each rule that the CLI reports under its own code is
 checked once, in the library, and raises `InputError` with that code, or
 `HypothesisError` where a theorem's hypothesis fails. Both are
-`ValueError`s, and str() is the bare message, with no code in front."""
+`ValueError`s, and str() is the bare message, with no code in front.
+The other guards on library arguments raise a plain `ValueError` with no
+code (`GUARDS`); `cli.parse_case` wraps those a case file can reach."""
 
 import pickle
 
 import pytest
 
-from eqknot import (CheckerboardGraph, HypothesisError, InputError,
-                    LatticeIsometry, SymmetrySpec, donaldson_obstruction,
-                    enumerate_embeddings, gl_lattice, gsig_involution,
-                    gsig_periodic, induced_isometry, knot_signature)
+from eqknot import (CheckerboardGraph, Embedding, HypothesisError,
+                    InputError, LatticeIsometry, SignedPermutation,
+                    SymmetrySpec, donaldson_obstruction, enumerate_embeddings,
+                    enumerate_vectors, equivariant_delta, gl_lattice,
+                    gsig_involution, gsig_periodic, induced_isometry,
+                    knot_signature, rh_bound)
 from test_checkerboard import nine_40
 
 NINE_40_SYMMETRY = SymmetrySpec([2, 3, 0, 1, 4], 2, "strong_inversion", 1)
@@ -55,6 +59,38 @@ RULES = [
      False, "SCHEMA", "the period must be >= 2, not 1"),
 ]
 
+UNIT = LatticeIsometry(((1,),), 1)
+SIGNS = "signs must be +/-1 of matching length"
+
+# (id, call, message)
+GUARDS = [
+    ("perm_repeats", lambda: SignedPermutation([0, 0], [1, 1]),
+     "not a permutation"),
+    ("sign_two", lambda: SignedPermutation([0, 1], [1, 2]), SIGNS),
+    ("signs_short", lambda: SignedPermutation([0, 1], [1]), SIGNS),
+    ("embedding_rows", lambda: Embedding(2, [(1,)]),
+     "embedding matrix must have k rows"),
+    ("embedding_float", lambda: Embedding(1, [(1.0,)]),
+     "matrix entries must be ints"),
+    ("vectors_negative_k", lambda: enumerate_vectors(-1, 0),
+     "k must be non-negative"),
+    ("delta_r_size", lambda: equivariant_delta(
+        Embedding(1, [(1,)]), [[1, 0], [0, 1]], 1),
+     "isometry dimension does not match embedding source"),
+    ("odd_sigma", lambda: donaldson_obstruction([[1]], UNIT, -1, 1),
+     "-sigma(K) must be even"),
+    ("sign_mode", lambda: donaldson_obstruction([[1]], UNIT, 0, 1, "loose"),
+     "sign_mode must be 'strict' or 'both'"),
+    ("no_vertex", lambda: CheckerboardGraph(0, []),
+     "graph needs at least one vertex"),
+    ("symmetry_kind", lambda: SymmetrySpec([1, 0], 2, "rotation", 1),
+     "unknown symmetry kind: rotation"),
+    ("rh_period_one", lambda: rh_bound(1, 0, 1), "period must be >= 2"),
+    ("perm_length", lambda: induced_isometry(
+        nine_40(), SymmetrySpec([1, 0], 2, "strong_inversion", 1)),
+     "vertex_perm is not a weighted-graph automorphism"),
+]
+
 
 @pytest.mark.parametrize("call, hypothesis, code, message",
                          [rule[1:] for rule in RULES],
@@ -65,6 +101,15 @@ def test_library_raises_coded_error(call, hypothesis, code, message):
     assert isinstance(e.value, ValueError)
     assert isinstance(e.value, HypothesisError) is hypothesis
     assert e.value.code == code
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("call, message", [guard[1:] for guard in GUARDS],
+                         ids=[guard[0] for guard in GUARDS])
+def test_library_guard_raises_plain_error(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert not isinstance(e.value, InputError)
     assert str(e.value) == message
 
 
