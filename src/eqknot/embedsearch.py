@@ -1,12 +1,16 @@
 """Isometric embeddings into the diagonal lattice (Z^k, Id) and the
-equivariant automorphism search.
+equivariant automorphism of each embedding class.
 
 The obstruction: if the equivariant 4-genus equals -sigma/2 then the
 Gordon-Litherland lattice embeds into (Z^k, Id), k = -sigma + b_1, with a
 signed permutation delta of the ambient lattice satisfying
 delta . iota = iota . rho_* and delta^n = I, n the order of the symmetry
 rho. Exhausting all embedding classes and finding no such delta
-obstructs the genus value.
+obstructs the genus value. For each class, delta is built, not searched
+for: R maps each class of nonzero rows equal up to sign into one class,
+and delta exists iff that map is a bijection that keeps the class sizes
+and every orbit, of l classes whose signs multiply to S, has ord(l, S)
+dividing n (`equivariant_delta`).
 """
 
 from __future__ import annotations
@@ -325,76 +329,60 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     required_order, that fixes each zero row of E with sign +1, or None.
 
     delta is how the lifted order-n symmetry acts on (Z^k, Id), so the
-    theorem gives delta^n = I, not order exactly n. Each row i of P must
-    send some row of E to row i of T = E.R up to sign, so P sends zero
-    rows of E onto the zero rows of T. These include the z zero rows of
-    E, and when there are more (R singular) there is no P. Otherwise P
-    splits into a block on the nonzero rows, of order o1, and one on the
-    zero rows, and P^n = I needs o1 to divide n whatever the second
-    block is. So P keeps the zero rows fixed, and a P exists iff some
-    nonzero-row block has o1 dividing n. The search backtracks over the
-    nonzero rows only, fewest candidates first; P maps them onto
-    themselves, so a leaf reads o1 off their cycles. For each sign only
-    the first unused candidate j not yet placed is tried: any other such
-    j' is an equal row of E, so swapping e_j and e_j' maps the branch of
-    j onto that of j', keeping each leaf's cycle type and signs. As j's
-    leaves come first, the P found, or None, is that of the full search,
-    and so that of a search over all rows (fewest candidates first, j
-    ascending, sign +1 before -1), which tries the identity on the zero
-    rows first.
+    theorem gives delta^n = I, not order exactly n. Row i of P must send
+    some row of E to row i of T = E.R up to sign. Group the nonzero rows
+    of E into classes of rows equal up to sign: T maps each class into
+    one class, its image. So a P exists only if every image is a nonzero
+    class of the same size and distinct classes have distinct images,
+    which also rules out a singular R. Then P fixes each zero row with
+    sign +1, and matches the a-th row of each class to the a-th row of
+    its image, with the sign that makes the two rows equal.
 
-    Where R has order n, P has order n: P^o1 = I gives E.R^o1 = P^o1.E
-    = E, and E has full column rank (E^T E = G is definite), so
-    R^o1 = I and n divides o1, which divides n. So only where ord(R) is
-    a proper divisor of n can a P exist with none of order exactly n.
+    Take an orbit of l classes whose signs vR = +-v' multiply to S. Any
+    P^l maps each class of the orbit onto itself, and a cycle of length
+    c of that return map is a cycle of P of length l*c with sign S^c,
+    whose order is l*c, or 2*l*c where S^c = -1. If it divides n, so
+    does ord(l, S): l divides l*c, and where S = -1 either c is odd and
+    2l divides 2lc, or c is even and 2l divides lc. Each cycle of the
+    matching runs through the a-th rows of the l classes once, so it
+    has length l and sign S, as the row signs cancel around it. So the
+    matching has P^n = I whenever any P does, and one order test
+    decides. Where R^n = I, vR^n = v for each row, so l divides n and
+    S^(n/l) = 1: a P exists iff the images keep the class sizes. On
+    sign-normalised rows, as in every canonical representative, the
+    matching is the first leaf of a backtracking that gives each row, in
+    index order, the first unused row of its image.
+
+    Where R has order n, P has order n: P^o = I, o = ord(P), gives
+    E.R^o = P^o.E = E, and E has full column rank (E^T E = G is
+    definite), so R^o = I and n divides o, which divides n. So only
+    where ord(R) is a proper divisor of n can a P exist with none of
+    order exactly n.
     """
     Rm = _as_matrix(R)
     m = E.source_rank
     if len(Rm) != m or any(len(row) != m for row in Rm):
         raise ValueError("isometry dimension does not match embedding source")
-    k = E.k
     T = mat_mul(E.matrix, Rm)
-    # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
-    row_index: dict[tuple[int, ...], list[int]] = {}
-    for j, row in enumerate(E.matrix):
-        row_index.setdefault(row, []).append(j)
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for i in range(k):
-        t = T[i]
-        if any(t):
-            neg = tuple(-x for x in t)
-            candidates[i] = ([(j, 1) for j in row_index.get(t, [])]
-                             + [(j, -1) for j in row_index.get(neg, [])])
-        elif any(E.matrix[i]):
-            return None  # R is singular: T has more zero rows than E
-
-    perm = list(range(k))
-    signs = [1] * k
-    used = [False] * k
-    order_rows = sorted(candidates, key=lambda i: len(candidates[i]))
-    rank = {i: pos for pos, i in enumerate(order_rows)}
-
-    def search(pos: int) -> Optional[SignedPermutation]:
-        if pos == len(order_rows):
-            if required_order % _signed_order(perm, signs, order_rows):
-                return None
-            return SignedPermutation(perm, signs)
-        i = order_rows[pos]
-        tried = set()  # signs whose first row not yet placed was tried
-        for j, s in candidates[i]:
-            if used[j] or (rank[j] > pos and s in tried):
-                continue
-            if rank[j] > pos:
-                tried.add(s)
-            used[j] = True
-            perm[i], signs[i] = j, s
-            hit = search(pos + 1)
-            if hit is not None:
-                return hit
-            used[j] = False
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(E.matrix):
+        if any(row):
+            classes.setdefault(_normalize_row(row), []).append(i)
+    perm = list(range(E.k))
+    signs = [1] * E.k
+    images = set()
+    for rows in classes.values():
+        image = _normalize_row(T[rows[0]])
+        if len(classes.get(image, ())) != len(rows) or image in images:
+            return None
+        images.add(image)
+        for i, j in zip(rows, classes[image]):
+            perm[i] = j
+            signs[i] = 1 if T[i] == E.matrix[j] else -1
+    nonzero = [i for rows in classes.values() for i in rows]
+    if required_order % _signed_order(perm, signs, nonzero):
         return None
-
-    return search(0)
+    return SignedPermutation(perm, signs)
 
 
 def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
@@ -405,8 +393,10 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     """Decide the equivariant embedding obstruction.
 
     Sets k = -sigma_K + rank(G), enumerates all embedding classes into
-    (Z^k, Id), and searches each class representative for a delta with
-    delta^order = I intertwining R (`equivariant_delta`). With
+    (Z^k, Id), and decides for each class representative whether a
+    delta with delta^order = I intertwines R. No search: the delta that
+    matches each class of rows to its image in order is valid whenever
+    any delta is, so one order test decides (`equivariant_delta`). With
     sign_mode="both", -R is also tried, so "obstructed" is only reported
     when both sign conventions fail.
     """

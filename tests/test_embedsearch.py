@@ -13,7 +13,7 @@ from eqknot import (CheckerboardGraph, Embedding, GramLattice,
 from eqknot import embedsearch
 from eqknot.checkerboard import _signed_order
 from eqknot.cli import parse_case
-from eqknot.embedsearch import _orbit_size
+from eqknot.embedsearch import _normalize_row, _orbit_size
 from eqknot.lattice import is_positive_definite, mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       char_poly, conjugate, delta_over_all_zero_rows,
@@ -507,6 +507,18 @@ class TestEquivariantDelta:
         E = Embedding(2, [(1,), (0,)])
         for order in (1, 2):
             assert equivariant_delta(E, [[0]], order) is None
+        # two classes of one row each with the same image, and a class
+        # that is nobody's image: the class map is no bijection
+        E = Embedding(2, [(1, 0), (0, 1)])
+        for order in (1, 2):
+            assert equivariant_delta(E, [[1, 0], [1, 0]], order) is None
+
+    def test_image_class_of_other_size_has_no_delta(self):
+        # R swaps the classes of e_1 (two rows) and e_2 (one row), so no
+        # P matches the rows of one class to those of its image
+        E = Embedding(3, [(1, 0), (1, 0), (0, 1)])
+        for order in (1, 2, 4):
+            assert equivariant_delta(E, [[0, 1], [1, 0]], order) is None
 
     def test_zero_rows_free(self):
         # ambient rank exceeds the span: a delta whose order divides the
@@ -531,8 +543,8 @@ class TestEquivariantDelta:
         assert d == SignedPermutation(range(1201), (1,) * 1201)
 
     def test_leaf_builds_no_signed_permutation(self, monkeypatch):
-        # six equal rows, R = (-1) and order 3 have no delta; no leaf
-        # builds a SignedPermutation over the 1,006 rows to take its order
+        # six equal rows, R = (-1) and order 3 have no delta; no
+        # SignedPermutation over the 1,006 rows is built to take its order
         built = []
 
         def counting(*args):
@@ -544,12 +556,33 @@ class TestEquivariantDelta:
         assert equivariant_delta(E, [[-1]], 3) is None
         assert built == []
 
+    def test_one_order_test_decides(self, monkeypatch):
+        # the class -e_1 is fixed, and -e_2, -e_3 form an orbit of two
+        # classes with sign product -1, so every delta has a cycle of
+        # order 4 and none has delta^2 = I. One order test decides it,
+        # where a backtracking takes the order of every leaf it reaches
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _signed_order(*args)
+
+        monkeypatch.setattr(embedsearch, "_signed_order", counting)
+        E = Embedding(18, [(-1, 0, 0)] * 6 + [(0, -1, 0)] * 6
+                      + [(0, 0, -1)] * 6)
+        R = [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
+        assert equivariant_delta(E, R, 2) is None
+        assert len(calls) <= 1
+
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
         # c copies of +-e_i for each i and z zero rows, shuffled, and R a
-        # signed permutation matrix: for required orders 1 to 6 the search
-        # over the nonzero rows, with the zero rows fixed,
-        # finds the same P as the backtracking over all rows
-        tested = 0
+        # signed permutation matrix, at required orders 1 to 6. With the
+        # rows sign-normalised, as in a canonical representative, the
+        # matching is the first leaf of the backtracking over all rows,
+        # so it finds the same P. With mixed signs it may find another
+        # P, so P is checked and its existence compared (k <= 5 only, as
+        # the exhaustive oracle scans all 2^k * k! signed permutations)
+        tested = mixed = 0
         while tested < 80:
             m, c, z = rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 4)
             if m * c + z > 8:
@@ -559,20 +592,35 @@ class TestEquivariantDelta:
                     for i in range(m) for _ in range(c)] + [(0,) * m] * z
             rng.shuffle(rows)
             E = Embedding(len(rows), rows)
+            normal = Embedding(E.k, [_normalize_row(r) for r in rows])
             image = list(range(m))
             rng.shuffle(image)
             R = [[rng.choice((1, -1)) * (j == image[i]) for j in range(m)]
                  for i in range(m)]
             for order in range(1, 7):
-                assert (equivariant_delta(E, R, order)
-                        == delta_over_all_zero_rows(E, R, order)), (rows, R)
+                assert (equivariant_delta(normal, R, order)
+                        == delta_over_all_zero_rows(normal, R, order)), (
+                            rows, R)
+                if E.k > 5:
+                    continue
+                mixed += 1
+                got = equivariant_delta(E, R, order)
+                assert ((got is not None)
+                        == exhaustive_delta_exists(E, R, order)), (rows, R)
+                if got is not None:
+                    assert (mat_mul(signed_perm_matrix(got), E.matrix)
+                            == mat_mul(E.matrix, R))
+                    assert order % signed_perm_order(got.perm,
+                                                     got.signs) == 0
+                    assert all((got.perm[i], got.signs[i]) == (i, 1)
+                               for i, row in enumerate(rows) if not any(row))
+        assert mixed > 100
 
     def test_same_delta_on_census_classes(self):
         # every class of the CLI census at its default dropped vertex,
-        # with R and -R and the case's order. Where no nonzero row of E
-        # has more than 2z +- copies, the search over all rows meets the
-        # zero rows right after the nonzero rows and so finds the same P;
-        # elsewhere P need only intertwine and have the exact order
+        # with R and -R and the case's order. The representatives are
+        # canonical, so the matching finds the P of the backtracking
+        # over all rows
         from test_cli import _drop_vertex_cases
         tested = 0
         for name, doc in _drop_vertex_cases().items():
@@ -583,21 +631,11 @@ class TestEquivariantDelta:
             R = induced_isometry(case.graph, case.symmetry).matrix
             order = case.symmetry.order
             for E, _ in enumerate_embeddings(G, G.rank - case.sigma_K).classes:
-                z = E.matrix.count((0,) * G.rank)
-                copies = Counter(min(r, tuple(-x for x in r))
-                                 for r in E.matrix if any(r))
                 for Rm in (R, [[-x for x in row] for row in R]):
                     got = equivariant_delta(E, Rm, order)
                     want = delta_over_all_zero_rows(E, Rm, order)
                     tested += 1
-                    if max(copies.values()) <= 2 * z:
-                        assert got == want, (name, E, Rm)
-                        continue
-                    assert (got is None) == (want is None), (name, E, Rm)
-                    if got is not None:
-                        assert got.order() == order
-                        assert (mat_mul(signed_perm_matrix(got), E.matrix)
-                                == mat_mul(E.matrix, Rm))
+                    assert got == want, (name, E, Rm)
         assert tested > 300
 
     def test_exhaustive_oracle(self, rng):
