@@ -116,14 +116,13 @@ class LatticeIsometry(NamedTuple):
     order: int
 
 
-def _signed_order(perm: Sequence[int], signs: Sequence[int],
-                  points: Optional[Sequence[int]] = None) -> int:
-    """The multiplicative order of the signed permutation (perm, signs)
-    on the cycles through `points` (all points by default): the lcm of
-    each cycle's length, doubled when its sign product is -1."""
+def _signed_order(perm: Sequence[int], signs: Sequence[int]) -> int:
+    """The multiplicative order of the signed permutation (perm, signs):
+    the lcm of each cycle's length, doubled when its sign product is
+    -1."""
     seen = set()
     out = 1
-    for start in range(len(perm)) if points is None else points:
+    for start in range(len(perm)):
         length, sign_prod, i = 0, 1, start
         while i not in seen:
             seen.add(i)

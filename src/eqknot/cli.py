@@ -34,8 +34,9 @@ from typing import NamedTuple, Optional
 from .bounds import BoundsInput, BoundsReport, aggregate
 from .checkerboard import (CheckerboardGraph, SymmetrySpec, gl_lattice,
                            induced_isometry, is_automorphism, knot_signature)
-from .embedsearch import (ObstructionReport, donaldson_obstruction,
-                          enumerate_embeddings, orbit_classes)
+from .embedsearch import (Embedding, ObstructionReport, SignedPermutation,
+                          donaldson_obstruction, enumerate_embeddings,
+                          orbit_classes)
 from .gsignature import gsig_involution, gsig_periodic
 from .lattice import (GramLattice, HypothesisError, InputError, _ints,
                       is_positive_definite)
@@ -143,20 +144,28 @@ def _bounds_input(fields: dict) -> BoundsInput:
     return BoundsInput(**fields)
 
 
+def _all_rows(E: Embedding, delta: Optional[SignedPermutation] = None
+              ) -> tuple[list, Optional[dict]]:
+    """The k rows of E, its nonzero rows and then the zero rows it
+    implies, and delta on all k rows, fixing each zero row with sign +1,
+    as a {"perm", "signs"} dict (None for no delta): the only place that
+    builds the zero rows, which the printed reports list."""
+    tail = range(len(E.rows), E.k)
+    rows = [list(r) for r in E.rows] + [[0] * E.source_rank] * len(tail)
+    if delta is None:
+        return rows, None
+    return rows, {"perm": [*delta.perm, *tail],
+                  "signs": [*delta.signs] + [1] * len(tail)}
+
+
 def obstruction_to_dict(rep: ObstructionReport) -> dict:
     return {
         "k": rep.k,
         "class_count": rep.class_count,
         "obstructed": rep.obstructed,
         "conclusion": rep.conclusion,
-        "per_class": [
-            {
-                "embedding": [list(r) for r in E.matrix],
-                "delta": None if d is None else
-                {"perm": list(d.perm), "signs": list(d.signs)},
-            }
-            for E, d in rep.per_class
-        ],
+        "per_class": [dict(zip(("embedding", "delta"), _all_rows(E, d)))
+                      for E, d in rep.per_class],
     }
 
 
@@ -189,15 +198,15 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
                                  sign_mode=sign_mode)
 
 
-def _print_obstruction(doc: dict, out):
-    print(f"case: {doc['name']}", file=out)
-    print(f"sigma(K) = {doc['sigma']},  k = {doc['k']}", file=out)
-    print(f"embedding classes: {doc['class_count']}", file=out)
-    for idx, cls in enumerate(doc["per_class"]):
-        status = "delta found" if cls["delta"] is not None else "no delta"
+def _print_obstruction(case: KnotCase, rep: ObstructionReport, out):
+    print(f"case: {case.name}", file=out)
+    print(f"sigma(K) = {case.sigma_K},  k = {rep.k}", file=out)
+    print(f"embedding classes: {rep.class_count}", file=out)
+    for idx, (_, delta) in enumerate(rep.per_class):
+        status = "delta found" if delta is not None else "no delta"
         print(f"  class {idx}: {status}", file=out)
-    print(f"obstructed: {doc['obstructed']}", file=out)
-    print(doc["conclusion"], file=out)
+    print(f"obstructed: {rep.obstructed}", file=out)
+    print(rep.conclusion, file=out)
 
 
 def _print_bounds(doc: dict, out):
@@ -251,14 +260,13 @@ def _load_gram(path: str, involution: bool = False
 
 def cmd_obstruct(args, out):
     case = parse_case(_load(args.file))
-    doc = obstruction_to_dict(
-        _obstruct_case(case, args.drop_vertex, args.sign_mode))
-    doc["name"] = case.name
-    doc["sigma"] = case.sigma_K
+    rep = _obstruct_case(case, args.drop_vertex, args.sign_mode)
     if args.json:
+        doc = dict(obstruction_to_dict(rep), name=case.name,
+                   sigma=case.sigma_K)
         print(json.dumps(doc, indent=2), file=out)
     else:
-        _print_obstruction(doc, out)
+        _print_obstruction(case, rep, out)
 
 
 def cmd_gsig(args, out):
@@ -329,7 +337,7 @@ def cmd_embed(args, out):
         "k": args.k,
         "embedding_count": embs.count,
         "class_count": len(classes),
-        "classes": [{"representative": [list(r) for r in rep.matrix],
+        "classes": [{"representative": _all_rows(rep)[0],
                      "orbit_size": size} for rep, size in classes],
     }
     if args.json:

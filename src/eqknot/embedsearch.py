@@ -6,11 +6,14 @@ Gordon-Litherland lattice embeds into (Z^k, Id), k = -sigma + b_1, with a
 signed permutation delta of the ambient lattice satisfying
 delta . iota = iota . rho_* and delta^n = I, n the order of the symmetry
 rho. Exhausting all embedding classes and finding no such delta
-obstructs the genus value. For each class, delta is built, not searched
-for: R maps each class of nonzero rows equal up to sign into one class,
-and delta exists iff that map is a bijection that keeps the class sizes
-and every orbit, of l classes whose signs multiply to S, has ord(l, S)
-dividing n (`equivariant_delta`).
+obstructs the genus value. A class has at most tr G nonzero rows
+whatever k is, and is held as those rows alone (`Embedding`); every
+other row is zero and fixed by delta, so only the printer in `cli`
+writes them. For each class, delta is built, not searched for: R maps
+each class of nonzero rows equal up to sign into one class, and delta
+exists iff that map is a bijection that keeps the class sizes and every
+orbit, of l classes whose signs multiply to S, has ord(l, S) dividing n
+(`equivariant_delta`).
 """
 
 from __future__ import annotations
@@ -26,22 +29,26 @@ from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
 
 
 class Embedding(_Frozen):
-    """A k x m integer matrix E with E^T E = G, its entries ints (not
-    bools); column j is the image of the j-th basis vector of the source
-    lattice."""
+    """A k x m integer matrix E with E^T E = G, held as its nonzero rows:
+    `rows` are rows 0..len(rows)-1 of E, ints (not bools), and rows
+    len(rows)..k-1 are implied zero, so a class costs its at most tr G
+    nonzero rows whatever k is. Column j is the image of the j-th basis
+    vector of the source lattice; with no rows, the source has rank 0."""
 
-    __slots__ = _fields = ("k", "matrix")
+    __slots__ = _fields = ("k", "rows")
 
-    def __init__(self, k: int, matrix: Sequence[Sequence[int]]):
-        rows = _freeze(matrix)
-        if len(rows) != k:
-            raise ValueError("embedding matrix must have k rows")
+    def __init__(self, k: int, rows: Sequence[Sequence[int]]):
+        rows = _freeze(rows)
+        if len(rows) > k:
+            raise ValueError("embedding has more than k rows")
+        if not all(map(any, rows)):
+            raise ValueError("embedding rows must be nonzero")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def source_rank(self) -> int:
-        return len(self.matrix[0]) if self.k else 0
+        return len(self.rows[0]) if self.rows else 0
 
 
 class SignedPermutation(_Frozen):
@@ -129,14 +136,15 @@ class EmbeddingSet:
         return self.count
 
 
-def _orbit_size(rows: Matrix) -> int:
-    """k!/(z! prod mu_r!) * 2^(k - z) for z zero rows and nonzero rows of
-    multiplicities mu_r: the orbit of `rows` under Aut(Z^k, Id), with
-    k!/z! as the product of the top k - z factors of k!."""
-    nonzero = [r for r in rows if any(r)]
-    size = math.perm(len(rows), len(nonzero)) << len(nonzero)
-    for r in set(nonzero):
-        size //= math.factorial(nonzero.count(r))
+def _orbit_size(E: Embedding) -> int:
+    """k!/(z! prod mu_r!) * 2^(k - z) for z = k - len(E.rows) zero rows
+    and nonzero rows of multiplicities mu_r: the orbit of E under
+    Aut(Z^k, Id), with k!/z! as the product of the top k - z factors of
+    k!."""
+    rows = E.rows
+    size = math.perm(E.k, len(rows)) << len(rows)
+    for r in set(rows):
+        size //= math.factorial(rows.count(r))
     return size
 
 
@@ -211,11 +219,12 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     (the fixed points of `canonical_form`), so each class is found once.
     The norm G[j][j] of column j is the sum of the squares of its
     entries, so E has at most tr(G) nonzero rows, and canonical rows put
-    them first: the search runs in Z^n, n = min(k, tr(G)), and pads with
-    zero rows. As G has rank m, E has at least m nonzero rows, so there
-    is no embedding when n < m; when n = m those rows form a square E'
-    with det G = det(E')^2, so there is none when det G (kept by
-    `signature`) is not a square. Both cases return before any search.
+    them first: the search runs in Z^n, n = min(k, tr(G)), and keeps the
+    nonzero rows of each class, so k enters only its orbit size. As G has
+    rank m, E has at least m nonzero rows, so there is no embedding when
+    n < m; when n = m those rows form a square E' with det G = det(E')^2,
+    so there is none when det G (kept by `signature`) is not a square.
+    Both cases return before any search.
     It places the column of largest norm first (the lowest index on
     ties) and the others in their given order. The canonical
     candidates for that first column are the partitions of its norm into
@@ -240,7 +249,7 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
     g = G.gram
     m = G.rank
     if m == 0:
-        return EmbeddingSet([(Embedding(k, ((),) * k), 1)])
+        return EmbeddingSet([(Embedding(k, ()), 1)])
     n = min(k, sum(g[j][j] for j in range(m)))
     if n < m or (n == m and math.isqrt(G._det) ** 2 != G._det):
         return EmbeddingSet([])
@@ -256,7 +265,7 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
         # same: the rows i whose prefix equals that of row i - 1;
         # zero: the first row whose prefix is all zero (n if none)
         if j == m:
-            found.append(tuple(zip(*cols)))
+            found.append(tuple(zip(*cols))[:zero])
             return
         for v in live[0]:
             if (zero < n and v[-1] > 0) or any(v[i - 1] > v[i] for i in same):
@@ -287,15 +296,16 @@ def enumerate_embeddings(G: GramLattice | Sequence[Sequence[int]],
             cols.pop()
 
     back = [order.index(j) for j in range(m)]
-    pad = ((0,) * m,) * (k - n)
     classes: list[tuple[Embedding, int]] = []
     for rows in found:
-        E = Embedding(k, tuple([tuple([r[i] for i in back]) for r in rows])
-                      + pad)
+        E = Embedding(k, [tuple([r[i] for i in back]) for r in rows])
         if first:
             E = canonical_form(E)
-        classes.append((E, _orbit_size(E.matrix)))
-    classes.sort(key=lambda c: c[0].matrix)
+        classes.append((E, _orbit_size(E)))
+    # sorting by the nonzero rows gives the order of the k-row matrices:
+    # neither class's rows are a proper prefix of the other's, since the
+    # rows past it would have sum r^T r = G - G = 0
+    classes.sort(key=lambda c: c[0].rows)
     return EmbeddingSet(classes)
 
 
@@ -311,8 +321,7 @@ def canonical_form(E: Embedding) -> Embedding:
     Rows are compared independently in the row-major order, so the minimum
     is achieved by sign-normalizing each row and sorting. Idempotent.
     """
-    rows = sorted(_normalize_row(r) for r in E.matrix)
-    return Embedding(E.k, rows)
+    return Embedding(E.k, sorted(_normalize_row(r) for r in E.rows))
 
 
 # kept for perfbench/tracing.py, which expects its span, until the class
@@ -326,7 +335,9 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
 def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
                       required_order: int) -> Optional[SignedPermutation]:
     """A signed permutation P with P.E = E.R and P^n = I, n =
-    required_order, that fixes each zero row of E with sign +1, or None.
+    required_order, or None. P is returned on the nonzero rows of E, a
+    `SignedPermutation` of length len(E.rows); on (Z^k, Id) it also fixes
+    each implied zero row with sign +1.
 
     delta is how the lifted order-n symmetry acts on (Z^k, Id), so the
     theorem gives delta^n = I, not order exactly n. Row i of P must send
@@ -334,9 +345,9 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     of E into classes of rows equal up to sign: T maps each class into
     one class, its image. So a P exists only if every image is a nonzero
     class of the same size and distinct classes have distinct images,
-    which also rules out a singular R. Then P fixes each zero row with
-    sign +1, and matches the a-th row of each class to the a-th row of
-    its image, with the sign that makes the two rows equal.
+    which also rules out a singular R. Then P matches the a-th row of
+    each class to the a-th row of its image, with the sign that makes
+    the two rows equal.
 
     Take an orbit of l classes whose signs vR = +-v' multiply to S. Any
     P^l maps each class of the orbit onto itself, and a cycle of length
@@ -363,13 +374,12 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
     m = E.source_rank
     if len(Rm) != m or any(len(row) != m for row in Rm):
         raise ValueError("isometry dimension does not match embedding source")
-    T = mat_mul(E.matrix, Rm)
+    T = mat_mul(E.rows, Rm)
     classes: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(E.matrix):
-        if any(row):
-            classes.setdefault(_normalize_row(row), []).append(i)
-    perm = list(range(E.k))
-    signs = [1] * E.k
+    for i, row in enumerate(E.rows):
+        classes.setdefault(_normalize_row(row), []).append(i)
+    perm = [0] * len(E.rows)
+    signs = [1] * len(E.rows)
     images = set()
     for rows in classes.values():
         image = _normalize_row(T[rows[0]])
@@ -378,9 +388,8 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
         images.add(image)
         for i, j in zip(rows, classes[image]):
             perm[i] = j
-            signs[i] = 1 if T[i] == E.matrix[j] else -1
-    nonzero = [i for rows in classes.values() for i in rows]
-    if required_order % _signed_order(perm, signs, nonzero):
+            signs[i] = 1 if T[i] == E.rows[j] else -1
+    if required_order % _signed_order(perm, signs):
         return None
     return SignedPermutation(perm, signs)
 

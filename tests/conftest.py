@@ -155,6 +155,29 @@ def orbit_size_by_factorials(rows) -> int:
     return size
 
 
+def embedding(k, rows):
+    """The `Embedding` of the k x m matrix `rows`, whose zero rows may
+    lie anywhere: its nonzero rows, in order. Moving the zero rows last
+    is a row permutation, so the class is the same."""
+    return Embedding(k, [r for r in rows if any(r)])
+
+
+def full_matrix(E):
+    """The k x m matrix of the embedding E: its nonzero rows, then the
+    k - len(E.rows) zero rows it implies."""
+    return E.rows + ((0,) * E.source_rank,) * (E.k - len(E.rows))
+
+
+def full_delta(E, P):
+    """The signed permutation of (Z^k, Id) that a delta P on the nonzero
+    rows of E stands for: P, then each implied zero row fixed with sign
+    +1. None for None."""
+    if P is None:
+        return None
+    return SignedPermutation(P.perm + tuple(range(len(E.rows), E.k)),
+                             P.signs + (1,) * (E.k - len(E.rows)))
+
+
 def transpose(A):
     """The transpose of A as a tuple of rows."""
     return tuple(zip(*A)) if A else ()
@@ -236,7 +259,8 @@ def restrict_form(G: GramLattice | Sequence[Sequence],
 
 
 def brute_force_embeddings(G, k):
-    """All E with E^T E = G by unpruned brute force over column tuples."""
+    """All E with E^T E = G by unpruned brute force over column tuples,
+    as k x m matrices, whose zero rows may lie anywhere."""
     gram = G.gram if hasattr(G, "gram") else G
     m = len(gram)
     pools = [enumerate_vectors(k, gram[j][j]) for j in range(m)]
@@ -251,20 +275,21 @@ def brute_force_embeddings(G, k):
             if not ok:
                 break
         if ok:
-            rows = tuple(tuple(col[r] for col in cols) for r in range(k))
-            out.append(Embedding(k, rows))
+            out.append(tuple(tuple(col[r] for col in cols)
+                             for r in range(k)))
     return out
 
 
 def brute_force_classes(G, k):
-    """(representative, count) pairs, sorted, from bucketing
-    `brute_force_embeddings`: a representative has each row replaced by
-    the smaller of it and its negation, then the rows sorted."""
+    """(representative, count) pairs, sorted by the k x m matrix, from
+    bucketing `brute_force_embeddings`: a representative has each row
+    replaced by the smaller of it and its negation, then the rows
+    sorted."""
     counts = {}
     for E in brute_force_embeddings(G, k):
-        rows = tuple(sorted(min(r, tuple(-x for x in r)) for r in E.matrix))
+        rows = tuple(sorted(min(r, tuple(-x for x in r)) for r in E))
         counts[rows] = counts.get(rows, 0) + 1
-    return [(Embedding(k, rows), n) for rows, n in sorted(counts.items())]
+    return [(embedding(k, rows), n) for rows, n in sorted(counts.items())]
 
 
 def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
@@ -306,7 +331,7 @@ def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
         # zero: the first row whose prefix is all zero (k if none)
         if j == m:
             rows = tuple(zip(*cols)) if cols else ((),) * k
-            classes.append((Embedding(k, rows),
+            classes.append((embedding(k, rows),
                             orbit_size_by_factorials(rows)))
             return
         for v in live[0]:
@@ -324,14 +349,14 @@ def pool_embedding_classes(G: GramLattice | Sequence[Sequence[int]],
             cols.pop()
 
     dfs(0, tuple(by_norm[g[j][j]] for j in range(m)), list(range(1, k)), 0)
-    classes.sort(key=lambda c: c[0].matrix)
+    classes.sort(key=lambda c: full_matrix(c[0]))
     return EmbeddingSet(classes)
 
 
 def delta_over_all_zero_rows(E: Embedding, R, required_order: int
                              ) -> Optional[SignedPermutation]:
-    """A signed permutation P with P.E = E.R whose order divides
-    required_order, or None.
+    """A signed permutation P of (Z^k, Id), over all k rows of E, with
+    P.E = E.R whose order divides required_order, or None.
 
     Each row i of P must send some row of E to row i of E.R up to sign;
     zero rows of E.R are matched by zero rows of E with a free sign, and
@@ -342,10 +367,11 @@ def delta_over_all_zero_rows(E: Embedding, R, required_order: int
     if len(Rm) != m or any(len(row) != m for row in Rm):
         raise ValueError("isometry dimension does not match embedding source")
     k = E.k
-    T = mat_mul(E.matrix, Rm)
+    rows = full_matrix(E)
+    T = mat_mul(rows, Rm)
     # candidates[i]: list of (j, sign) with sign*E_row[j] == T_row[i]
     row_index: dict[tuple[int, ...], list[int]] = {}
-    for j, row in enumerate(E.matrix):
+    for j, row in enumerate(rows):
         row_index.setdefault(row, []).append(j)
     candidates: list[list[tuple[int, int]]] = []
     for i in range(k):
@@ -411,10 +437,11 @@ def exhaustive_delta_exists(E, R, required_order):
     """Existence of P with P.E = E.R and P^required_order = I, by
     scanning all 2^k * k! signed permutations. Only sensible for k <= 5."""
     k = E.k
-    T = dense_mat_mul(E.matrix, R)
+    rows = full_matrix(E)
+    T = dense_mat_mul(rows, R)
     for perm in itertools.permutations(range(k)):
         for signs in itertools.product((1, -1), repeat=k):
-            if all(tuple(signs[i] * x for x in E.matrix[perm[i]]) == tuple(T[i])
+            if all(tuple(signs[i] * x for x in rows[perm[i]]) == tuple(T[i])
                    for i in range(k)):
                 if required_order % signed_perm_order(perm, signs) == 0:
                     return True

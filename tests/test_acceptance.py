@@ -7,7 +7,7 @@ report lines.
 import random
 import time
 
-from eqknot import (BoundsInput, CheckerboardGraph, Embedding, GramLattice,
+from eqknot import (BoundsInput, CheckerboardGraph, GramLattice,
                     SignedPermutation, SymmetrySpec, aggregate,
                     canonical_form, donaldson_obstruction,
                     enumerate_embeddings, equivariant_delta, gl_full_form,
@@ -16,9 +16,9 @@ from eqknot import (BoundsInput, CheckerboardGraph, Embedding, GramLattice,
                     rh_bound, signature)
 from eqknot.lattice import mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
-                      conjugate, exhaustive_delta_exists,
-                      random_connected_graph, random_unimodular,
-                      signed_perm_matrix)
+                      conjugate, embedding, exhaustive_delta_exists,
+                      full_matrix, random_connected_graph,
+                      random_unimodular, signed_perm_matrix)
 from test_embedsearch import _solve_isometry
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalence():
     while done < 100:
         k = rng.randint(2, 5)
         m = rng.randint(1, 3)
-        E = Embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
+        E = embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
                           for _ in range(k)])
         perm = list(range(k))
         rng.shuffle(perm)
@@ -187,15 +187,15 @@ def test_criterion_7_property_suites():
     # canonical form: idempotent and constant on orbits
     for _ in range(200):
         k, m = rng.randint(1, 5), rng.randint(1, 3)
-        E = Embedding(k, [tuple(rng.randint(-2, 2) for _ in range(m))
+        E = embedding(k, [tuple(rng.randint(-2, 2) for _ in range(m))
                           for _ in range(k)])
         C = canonical_form(E)
-        assert canonical_form(C).matrix == C.matrix
+        assert canonical_form(C) == C
         perm = list(range(k))
         rng.shuffle(perm)
         P = SignedPermutation(perm, [rng.choice([1, -1]) for _ in range(k)])
-        moved = Embedding(k, mat_mul(signed_perm_matrix(P), E.matrix))
-        assert canonical_form(moved).matrix == C.matrix
+        moved = embedding(k, mat_mul(signed_perm_matrix(P), full_matrix(E)))
+        assert canonical_form(moved) == C
     # g-signature: antipode negation, additivity, rank bound
     from test_gsignature import _random_pair
     for _ in range(200):

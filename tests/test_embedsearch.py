@@ -17,11 +17,11 @@ from eqknot.embedsearch import _normalize_row, _orbit_size
 from eqknot.lattice import is_positive_definite, mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       char_poly, conjugate, delta_over_all_zero_rows,
-                      dense_bareiss_inertia, dense_mat_mul,
-                      exhaustive_delta_exists, identity,
-                      orbit_size_by_factorials, pool_embedding_classes,
-                      random_unimodular, signed_perm_matrix,
-                      signed_perm_order, transpose)
+                      dense_bareiss_inertia, dense_mat_mul, embedding,
+                      exhaustive_delta_exists, full_delta, full_matrix,
+                      identity, orbit_size_by_factorials,
+                      pool_embedding_classes, random_unimodular,
+                      signed_perm_matrix, signed_perm_order, transpose)
 
 
 class TestEnumerateVectors:
@@ -222,7 +222,7 @@ class TestEnumerateEmbeddings:
         assert embs.count == 8
         assert list(embs.classes) == brute_force_classes([[2, 0], [0, 2]], 2)
         for e, _ in embs.classes:
-            assert mat_mul(transpose(e.matrix), e.matrix) == ((2, 0), (0, 2))
+            assert mat_mul(transpose(e.rows), e.rows) == ((2, 0), (0, 2))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -239,17 +239,17 @@ class TestEnumerateEmbeddings:
         embs = enumerate_embeddings(G, 3)
         assert embs.classes
         for e, _ in embs.classes:
-            assert dense_mat_mul(transpose(e.matrix), e.matrix) == G.gram
+            assert dense_mat_mul(transpose(e.rows), e.rows) == G.gram
 
     def test_representatives_sorted_and_canonical(self):
         # the documented order: representatives strictly increasing, each
         # a fixed point of canonical_form
         embs = enumerate_embeddings([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4)
-        reps = [e.matrix for e, _ in embs.classes]
+        reps = [full_matrix(e) for e, _ in embs.classes]
         assert len(reps) > 1
         assert all(a < b for a, b in zip(reps, reps[1:]))
         for e, _ in embs.classes:
-            assert canonical_form(e).matrix == e.matrix
+            assert canonical_form(e) == e
 
     def test_brute_force_oracle_small(self, rng):
         # fixed sweep of small forms plus randoms; pruned == unpruned
@@ -292,8 +292,8 @@ class TestKMinusEdgeLadder:
         G = gl_lattice(CheckerboardGraph(n, self.edges(n)))
         embs = enumerate_embeddings(G, k)
         for rep, _ in embs.classes:
-            assert canonical_form(rep).matrix == rep.matrix
-            assert dense_mat_mul(transpose(rep.matrix), rep.matrix) == G.gram
+            assert canonical_form(rep) == rep
+            assert dense_mat_mul(transpose(rep.rows), rep.rows) == G.gram
         assert orbit_classes(embs) == list(embs.classes)
         return embs
 
@@ -323,22 +323,22 @@ class TestCanonicalForm:
     def test_fixed_point(self):
         # rows sorted, each lex-smaller than its negation: already minimal
         E = Embedding(3, [(-1, -1), (-1, 0), (0, -1)])
-        assert canonical_form(E).matrix == E.matrix
+        assert canonical_form(E) == E
 
     def test_idempotent_and_orbit_constant(self, rng):
         for _ in range(200):
             k = rng.randint(1, 5)
             m = rng.randint(1, 3)
-            E = Embedding(k, [tuple(rng.randint(-2, 2) for _ in range(m))
+            E = embedding(k, [tuple(rng.randint(-2, 2) for _ in range(m))
                               for _ in range(k)])
             C = canonical_form(E)
-            assert canonical_form(C).matrix == C.matrix
+            assert canonical_form(C) == C
             perm = list(range(k))
             rng.shuffle(perm)
             signs = [rng.choice([1, -1]) for _ in range(k)]
             P = SignedPermutation(perm, signs)
-            PE = mat_mul(signed_perm_matrix(P), E.matrix)
-            assert canonical_form(Embedding(k, PE)).matrix == C.matrix
+            PE = mat_mul(signed_perm_matrix(P), full_matrix(E))
+            assert canonical_form(embedding(k, PE)) == C
 
 
 class TestNine40FigureEmbeddings:
@@ -352,13 +352,13 @@ class TestNine40FigureEmbeddings:
                            for r in range(6)])
         # the symmetry swaps basis vectors v0<->v2, v1<->v3
         R = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-        E2 = Embedding(6, mat_mul(E1.matrix, R))
-        reps = {canonical_form(E1).matrix, canonical_form(E2).matrix}
+        E2 = Embedding(6, mat_mul(E1.rows, R))
+        reps = {canonical_form(E1), canonical_form(E2)}
         assert len(reps) == 2
         # and they are the two classes of the 9_40 lattice in (Z^6, Id)
         embs = enumerate_embeddings(
-            dense_mat_mul(transpose(E1.matrix), E1.matrix), 6)
-        assert {c.matrix for c, _ in embs.classes} == reps
+            dense_mat_mul(transpose(E1.rows), E1.rows), 6)
+        assert {c for c, _ in embs.classes} == reps
 
 
 class TestOrbitClasses:
@@ -373,7 +373,7 @@ class TestOrbitClasses:
         assert classes[0][1] == 8
 
     def test_orbit_size_matches_factorials(self, rng):
-        # many zero rows, as k above tr(G) pads; nonzero rows repeat
+        # many zero rows, as for k above tr(G); nonzero rows repeat
         for _ in range(300):
             m = rng.randint(1, 3)
             pool = [tuple(rng.randint(-2, 2) for _ in range(m))
@@ -382,7 +382,13 @@ class TestOrbitClasses:
             rows += [(0,) * m] * rng.choice([0, 1, 5, rng.randint(0, 3000)])
             rng.shuffle(rows)
             rows = tuple(rows)
-            assert _orbit_size(rows) == orbit_size_by_factorials(rows)
+            assert (_orbit_size(embedding(len(rows), rows))
+                    == orbit_size_by_factorials(rows))
+        # the zero rows are implied, so k = 10**20 costs nothing: e_1 has
+        # 2k images, and two equal rows k(k - 1)/2 * 2^2
+        k = 10**20
+        assert _orbit_size(Embedding(k, [(1,)])) == 2 * k
+        assert _orbit_size(Embedding(k, [(1,), (1,)])) == 2 * k * (k - 1)
 
 
 @pytest.mark.parametrize("cls, args", [
@@ -410,9 +416,7 @@ class TestSignedPermutation:
         assert q.order() == 2
         assert SignedPermutation([0, 1], [1, 1]).order() == 1
         assert SignedPermutation([0, 1], [-1, 1]).order() == 2
-        # random signed permutations against the conftest oracle, and
-        # _signed_order on a union of cycles against the oracle on the
-        # permutation that fixes every other point with sign +1
+        # random signed permutations against the conftest oracle
         for _ in range(300):
             k = rng.randint(1, 10)
             perm = list(range(k))
@@ -420,15 +424,6 @@ class TestSignedPermutation:
             signs = [rng.choice([1, -1]) for _ in range(k)]
             assert (SignedPermutation(perm, signs).order()
                     == signed_perm_order(perm, signs))
-            points = set()
-            for i in rng.sample(range(k), rng.randint(0, k)):
-                while i not in points:
-                    points.add(i)
-                    i = perm[i]
-            inside = [perm[i] if i in points else i for i in range(k)]
-            inside_signs = [signs[i] if i in points else 1 for i in range(k)]
-            assert (_signed_order(perm, signs, sorted(points))
-                    == signed_perm_order(inside, inside_signs))
 
     def test_matrix_orthogonal(self, rng):
         for _ in range(50):
@@ -445,11 +440,12 @@ def _solve_isometry(E, P):
     """Given embedding E and signed permutation P, solve E.R = P.E for an
     integer R, if possible. Independent construction of valid test pairs."""
     from fractions import Fraction
-    T = mat_mul(signed_perm_matrix(P), E.matrix)
+    rows = full_matrix(E)
+    T = mat_mul(signed_perm_matrix(P), rows)
     k, m = E.k, E.source_rank
     # solve least-squares-free: (E^T E) R = E^T T exactly
-    G = mat_mul(transpose(E.matrix), E.matrix)
-    rhs = mat_mul(transpose(E.matrix), T)
+    G = mat_mul(transpose(rows), rows)
+    rhs = mat_mul(transpose(rows), T)
     A = [[Fraction(G[i][j]) for j in range(m)] + [Fraction(x) for x in rhs[i]]
          for i in range(m)]
     for c in range(m):
@@ -467,7 +463,7 @@ def _solve_isometry(E, P):
     if any(x.denominator != 1 for row in R for x in row):
         return None
     R = tuple(tuple(int(x) for x in row) for row in R)
-    return R if mat_mul(E.matrix, R) == T else None
+    return R if mat_mul(rows, R) == T else None
 
 
 class TestEquivariantDelta:
@@ -502,9 +498,9 @@ class TestEquivariantDelta:
         assert equivariant_delta(E, [[-1, 0], [0, -1]], 3) is None
 
     def test_singular_r_has_no_delta(self):
-        # E.R has a zero row where E has none, so no P can send a zero
-        # row of E there
-        E = Embedding(2, [(1,), (0,)])
+        # E.R has a zero row where E has a nonzero one, and a P sends
+        # nonzero rows to nonzero rows
+        E = Embedding(2, [(1,)])
         for order in (1, 2):
             assert equivariant_delta(E, [[0]], order) is None
         # two classes of one row each with the same image, and a class
@@ -521,30 +517,30 @@ class TestEquivariantDelta:
             assert equivariant_delta(E, [[0, 1], [1, 0]], order) is None
 
     def test_zero_rows_free(self):
-        # ambient rank exceeds the span: a delta whose order divides the
-        # required one
-        E = Embedding(3, [(1,), (0,), (0,)])
+        # ambient rank exceeds the span: a delta on the one nonzero row
+        # whose order divides the required one
+        E = Embedding(3, [(1,)])
         d = equivariant_delta(E, [[1]], 2)
         assert d is not None and 2 % d.order() == 0
-        assert mat_mul(signed_perm_matrix(d), E.matrix) == E.matrix
+        assert mat_mul(signed_perm_matrix(d), E.rows) == E.rows
 
     def test_surplus_zero_rows_fixed(self):
-        # five equal rows and three zero rows, order 2: no zero row is
-        # searched, and R = (1) gives the identity
-        E = Embedding(8, [(1,)] * 5 + [(0,)] * 3)
+        # five equal rows and three implied zero rows, order 2: delta is
+        # held on the five rows, and R = (1) gives the identity
+        E = Embedding(8, [(1,)] * 5)
         d = equivariant_delta(E, [[1]], 2)
-        assert d == SignedPermutation(range(8), (1,) * 8)
+        assert d == SignedPermutation(range(5), (1,) * 5)
+        assert full_delta(E, d) == SignedPermutation(range(8), (1,) * 8)
 
     def test_many_zero_rows(self):
-        # the 1,200 zero rows are fixed, so R = (1) at order 3 gives the
-        # identity without a search over them
-        E = Embedding(1201, [(1,)] + [(0,)] * 1200)
-        d = equivariant_delta(E, [[1]], 3)
-        assert d == SignedPermutation(range(1201), (1,) * 1201)
+        # the 10**20 - 1 zero rows are implied, so R = (1) at order 3
+        # gives the identity on the one nonzero row
+        E = Embedding(10**20, [(1,)])
+        assert equivariant_delta(E, [[1]], 3) == SignedPermutation([0], [1])
 
     def test_leaf_builds_no_signed_permutation(self, monkeypatch):
         # six equal rows, R = (-1) and order 3 have no delta; no
-        # SignedPermutation over the 1,006 rows is built to take its order
+        # SignedPermutation is built to take its order
         built = []
 
         def counting(*args):
@@ -552,7 +548,7 @@ class TestEquivariantDelta:
             return SignedPermutation(*args)
 
         monkeypatch.setattr(embedsearch, "SignedPermutation", counting)
-        E = Embedding(1006, [(1,)] * 6 + [(0,)] * 1000)
+        E = Embedding(1006, [(1,)] * 6)
         assert equivariant_delta(E, [[-1]], 3) is None
         assert built == []
 
@@ -575,10 +571,11 @@ class TestEquivariantDelta:
         assert len(calls) <= 1
 
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
-        # c copies of +-e_i for each i and z zero rows, shuffled, and R a
-        # signed permutation matrix, at required orders 1 to 6. With the
-        # rows sign-normalised, as in a canonical representative, the
-        # matching is the first leaf of the backtracking over all rows,
+        # c copies of +-e_i for each i, shuffled, then z implied zero
+        # rows, and R a signed permutation matrix, at required orders 1
+        # to 6. With the rows sign-normalised, as in a canonical
+        # representative, the matching, with each zero row fixed with
+        # sign +1, is the first leaf of the backtracking over all k rows,
         # so it finds the same P. With mixed signs it may find another
         # P, so P is checked and its existence compared (k <= 5 only, as
         # the exhaustive oracle scans all 2^k * k! signed permutations)
@@ -589,16 +586,16 @@ class TestEquivariantDelta:
                 continue
             tested += 1
             rows = [tuple(rng.choice((1, -1)) * (j == i) for j in range(m))
-                    for i in range(m) for _ in range(c)] + [(0,) * m] * z
+                    for i in range(m) for _ in range(c)]
             rng.shuffle(rows)
-            E = Embedding(len(rows), rows)
+            E = Embedding(len(rows) + z, rows)
             normal = Embedding(E.k, [_normalize_row(r) for r in rows])
             image = list(range(m))
             rng.shuffle(image)
             R = [[rng.choice((1, -1)) * (j == image[i]) for j in range(m)]
                  for i in range(m)]
             for order in range(1, 7):
-                assert (equivariant_delta(normal, R, order)
+                assert (full_delta(normal, equivariant_delta(normal, R, order))
                         == delta_over_all_zero_rows(normal, R, order)), (
                             rows, R)
                 if E.k > 5:
@@ -608,19 +605,18 @@ class TestEquivariantDelta:
                 assert ((got is not None)
                         == exhaustive_delta_exists(E, R, order)), (rows, R)
                 if got is not None:
-                    assert (mat_mul(signed_perm_matrix(got), E.matrix)
-                            == mat_mul(E.matrix, R))
+                    assert got.k == len(E.rows)
+                    assert (mat_mul(signed_perm_matrix(got), E.rows)
+                            == mat_mul(E.rows, R))
                     assert order % signed_perm_order(got.perm,
                                                      got.signs) == 0
-                    assert all((got.perm[i], got.signs[i]) == (i, 1)
-                               for i, row in enumerate(rows) if not any(row))
         assert mixed > 100
 
     def test_same_delta_on_census_classes(self):
         # every class of the CLI census at its default dropped vertex,
         # with R and -R and the case's order. The representatives are
-        # canonical, so the matching finds the P of the backtracking
-        # over all rows
+        # canonical, so the matching, with each implied zero row fixed,
+        # finds the P of the backtracking over all rows
         from test_cli import _drop_vertex_cases
         tested = 0
         for name, doc in _drop_vertex_cases().items():
@@ -632,7 +628,7 @@ class TestEquivariantDelta:
             order = case.symmetry.order
             for E, _ in enumerate_embeddings(G, G.rank - case.sigma_K).classes:
                 for Rm in (R, [[-x for x in row] for row in R]):
-                    got = equivariant_delta(E, Rm, order)
+                    got = full_delta(E, equivariant_delta(E, Rm, order))
                     want = delta_over_all_zero_rows(E, Rm, order)
                     tested += 1
                     assert got == want, (name, E, Rm)
@@ -643,7 +639,7 @@ class TestEquivariantDelta:
         while tested < 100:
             k = rng.randint(2, 5)
             m = rng.randint(1, 3)
-            E = Embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
+            E = embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
                               for _ in range(k)])
             perm = list(range(k))
             rng.shuffle(perm)
@@ -657,8 +653,8 @@ class TestEquivariantDelta:
             want = exhaustive_delta_exists(E, R, req)
             assert (got is not None) == want
             if got is not None:
-                assert (mat_mul(signed_perm_matrix(got), E.matrix)
-                        == mat_mul(E.matrix, R))
+                assert (mat_mul(signed_perm_matrix(got), E.rows)
+                        == mat_mul(E.rows, R))
                 assert req % got.order() == 0
             tested += 1
 

@@ -68,8 +68,10 @@ GUARDS = [
      "not a permutation"),
     ("sign_two", lambda: SignedPermutation([0, 1], [1, 2]), SIGNS),
     ("signs_short", lambda: SignedPermutation([0, 1], [1]), SIGNS),
-    ("embedding_rows", lambda: Embedding(2, [(1,)]),
-     "embedding matrix must have k rows"),
+    ("embedding_rows", lambda: Embedding(1, [(1,), (1,)]),
+     "embedding has more than k rows"),
+    ("embedding_zero_row", lambda: Embedding(2, [(0,)]),
+     "embedding rows must be nonzero"),
     ("embedding_float", lambda: Embedding(1, [(1.0,)]),
      "matrix entries must be ints"),
     ("vectors_negative_k", lambda: enumerate_vectors(-1, 0),

@@ -87,6 +87,9 @@ def _commands():
         "embed_quotient_9_40": ["embed", "--gram",
                                 "{grams}/quotient_9_40.json", "--k", "6"],
         "embed_a2": ["embed", "--gram", "{grams}/a2.json", "--k", "3"],
+        # no class of A2 has 4 nonzero rows, so every representative in
+        # Z^4 ends in a zero row
+        "embed_a2_k4": ["embed", "--gram", "{grams}/a2.json", "--k", "4"],
         "batch_fixtures": ["batch", "{fixtures}"],
         "batch_cases": ["batch", "{cases}"],
         "batch_cases_both": ["batch", "{cases}", "--sign-mode", "both"],

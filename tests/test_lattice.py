@@ -552,7 +552,7 @@ class TestValueTypes:
             "kind='strong_inversion', lift_sign=1)",
             "SymmetrySpec(vertex_perm=(1, 2, 0), order=3, kind='periodic', "
             "lift_sign=-1)",
-            "Embedding(k=2, matrix=((1, 0), (0, -1)))",
+            "Embedding(k=2, rows=((1, 0), (0, -1)))",
             "SignedPermutation(perm=(1, 0), signs=(1, -1))",
         ]
 
