@@ -9,9 +9,11 @@ If the equivariant 4-genus were -sigma/2 = 1, the Gordon-Litherland
 lattice would embed into (Z^6, Id) compatibly with the symmetry. We
 generate one embedding per class up to signed permutations of the
 ambient basis, and check each class for an intertwining automorphism
-delta with delta^2 = I. None exists, so the equivariant 4-genus is at
-least 2; two equivariant crossing changes give the unknot, so it is
-exactly 2.
+delta with delta^2 = I. The obstruction takes a list of lifts of the
+symmetry to the lattice; here it is the one lift of sign +1, whose
+order 2 divides the symmetry's, so delta^2 = I holds for any delta it
+admits. None exists, so the equivariant 4-genus is at least 2; two
+equivariant crossing changes give the unknot, so it is exactly 2.
 """
 
 from eqknot import (BoundsInput, CheckerboardGraph, SymmetrySpec, aggregate,
@@ -34,7 +36,7 @@ symmetry = SymmetrySpec([2, 3, 0, 1, 4], order=2, kind="strong_inversion",
 R = induced_isometry(graph, symmetry)
 print("\ninduced isometry (v0<->v2, v1<->v3), order", R.order)
 
-report = donaldson_obstruction(G, R, sigma_K=-2, order=2)
+report = donaldson_obstruction(G, [R], sigma_K=-2, order=2)
 print(f"\nambient rank k = {report.k}")
 print(f"embedding classes up to Aut(Z^k, Id): {report.class_count}")
 for i, (rep, delta) in enumerate(report.per_class):

@@ -115,14 +115,19 @@ def parse_case(doc) -> KnotCase:
         if unknown:
             raise InputError("SCHEMA", f"unknown bounds fields: {sorted(unknown)}")
         extras = _bounds_input(b)
+        # the Donaldson bound in `batch` reads the case's sigma
+        if sig is not None and extras.sigma_K not in (None, sig):
+            raise InputError("SIGMA_MISMATCH", "'bounds.sigma_K' disagrees "
+                             "with the case's sigma")
     return KnotCase(name=name, graph=graph, symmetry=spec, sigma_K=sig,
                     bounds_extras=extras)
 
 
 def _bounds_input(fields: dict) -> BoundsInput:
     """A BoundsInput from case-file or flag values, checked first: ints
-    (not bools), a period of at least 2, a non-negative move count, and a
-    g-signature that is an int or a fraction string."""
+    (not bools), a period of at least 2, a non-negative move count, even
+    knot signatures, and a g-signature that is an int or a fraction
+    string."""
     for key, value in fields.items():
         if key == "gsig" and isinstance(value, str):
             try:
@@ -141,6 +146,9 @@ def _bounds_input(fields: dict) -> BoundsInput:
     if moves is not None and moves < 0:
         raise InputError("SCHEMA",
                          "'equivariant_unknotting_moves' must be >= 0")
+    for key in ("sigma_K", "sigma_quotient"):
+        if (fields.get(key) or 0) % 2:
+            raise InputError("SCHEMA", f"'{key}' must be an even integer")
     return BoundsInput(**fields)
 
 
@@ -181,7 +189,7 @@ def bounds_to_dict(rep: BoundsReport) -> dict:
 
 
 def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
-                   sign_mode: str) -> ObstructionReport:
+                   lift_signs: str) -> ObstructionReport:
     G = gl_lattice(case.graph, drop_vertex)
     # checked here, not only in enumerate_embeddings: NOT_DEFINITE comes
     # before MISSING_SIGMA, with a message of its own
@@ -193,9 +201,13 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
     if case.sigma_K is None:
         raise InputError("MISSING_SIGMA",
                          "need 'sigma' or 'positive_crossings' to set k")
-    R = induced_isometry(case.graph, case.symmetry, drop_vertex)
-    return donaldson_obstruction(G, R, case.sigma_K, case.symmetry.order,
-                                 sign_mode=sign_mode)
+    sym = case.symmetry
+    specs = [sym]
+    if lift_signs == "both":  # adds the lift of sign -eps, which is -R
+        specs.append(SymmetrySpec(sym.vertex_perm, sym.order, sym.kind,
+                                  -sym.lift_sign))
+    lifts = [induced_isometry(case.graph, s, drop_vertex) for s in specs]
+    return donaldson_obstruction(G, lifts, case.sigma_K, sym.order)
 
 
 def _print_obstruction(case: KnotCase, rep: ObstructionReport, out):
@@ -260,7 +272,7 @@ def _load_gram(path: str, involution: bool = False
 
 def cmd_obstruct(args, out):
     case = parse_case(_load(args.file))
-    rep = _obstruct_case(case, args.drop_vertex, args.sign_mode)
+    rep = _obstruct_case(case, args.drop_vertex, args.lift_signs)
     if args.json:
         doc = dict(obstruction_to_dict(rep), name=case.name,
                    sigma=case.sigma_K)
@@ -286,7 +298,9 @@ def cmd_gsig(args, out):
         if args.sigma is None or args.quotient_sigma is None:
             raise InputError("SCHEMA",
                              "--period needs --sigma and --quotient-sigma")
-        val = gsig_periodic(args.period, args.sigma, args.quotient_sigma)
+        inp = _bounds_input(dict(period_n=args.period, sigma_K=args.sigma,
+                                 sigma_quotient=args.quotient_sigma))
+        val = gsig_periodic(inp.period_n, inp.sigma_K, inp.sigma_quotient)
         doc = {"gsig": str(val), "method": "periodic-quotient-formula"}
     elif args.gram is not None or args.file is not None:
         doc = {}
@@ -351,13 +365,12 @@ def cmd_embed(args, out):
                 print(f"    {row}", file=out)
 
 
-def _batch_row(path: Path, sign_mode: str) -> dict:
+def _batch_row(path: Path, lift_signs: str) -> dict:
     try:
         case = parse_case(_load(path))
-        rep = _obstruct_case(case, None, sign_mode)
-        binp = case.bounds_extras or BoundsInput()
-        if binp.sigma_K is None:
-            binp = binp._replace(sigma_K=case.sigma_K)
+        rep = _obstruct_case(case, None, lift_signs)
+        binp = (case.bounds_extras or BoundsInput())._replace(
+            sigma_K=case.sigma_K)
         brep = aggregate(binp, obstruction=rep)
         return {
             "name": case.name,
@@ -378,7 +391,8 @@ def cmd_batch(args, out):
     root = Path(args.directory)
     if not root.is_dir():
         raise InputError("IO", f"not a directory: {args.directory}")
-    rows = [_batch_row(p, args.sign_mode) for p in sorted(root.glob("*.json"))]
+    rows = [_batch_row(p, args.lift_signs)
+            for p in sorted(root.glob("*.json"))]
     rows.sort(key=lambda r: r["name"])
     if args.json:
         for row in rows:
@@ -408,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true",
                         help="emit the JSON report")
 
-    def sign_mode(sp):
+    def lift_signs(sp):
         sp.add_argument("--sign-mode", choices=("strict", "both"),
-                        default="strict")
+                        default="strict", dest="lift_signs")
 
     def drop_vertex(sp):
         sp.add_argument("--drop-vertex", type=int, default=None)
@@ -421,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ob = sub.add_parser("obstruct", help="equivariant embedding obstruction")
     ob.add_argument("file")
-    sign_mode(ob)
+    lift_signs(ob)
     drop_vertex(ob)
     common(ob)
     ob.set_defaults(func=cmd_obstruct)
@@ -459,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bt = sub.add_parser("batch", help="process a directory of case files")
     bt.add_argument("directory")
-    sign_mode(bt)
+    lift_signs(bt)
     common(bt)
     bt.set_defaults(func=cmd_batch)
     return p

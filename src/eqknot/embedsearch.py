@@ -4,16 +4,15 @@ equivariant automorphism of each embedding class.
 The obstruction: if the equivariant 4-genus equals -sigma/2 then the
 Gordon-Litherland lattice embeds into (Z^k, Id), k = -sigma + b_1, with a
 signed permutation delta of the ambient lattice satisfying
-delta . iota = iota . rho_* and delta^n = I, n the order of the symmetry
-rho. Exhausting all embedding classes and finding no such delta
-obstructs the genus value. A class has at most tr G nonzero rows
-whatever k is, and is held as those rows alone (`Embedding`); every
+delta . iota = iota . R and delta^n = I, for R a lift of the order-n
+symmetry to the lattice. Exhausting all embedding classes and finding no
+such delta obstructs the genus value. A class has at most tr G nonzero
+rows whatever k is, and is held as those rows alone (`Embedding`); every
 other row is zero and fixed by delta, so only the printer in `cli`
-writes them. For each class, delta is built, not searched for: R maps
-each class of nonzero rows equal up to sign into one class, and delta
-exists iff that map is a bijection that keeps the class sizes and every
-orbit, of l classes whose signs multiply to S, has ord(l, S) dividing n
-(`equivariant_delta`).
+writes them. delta^n = I needs R^n = I, read off each lift's order
+once. Then delta is built, not searched for: R maps each class of
+nonzero rows equal up to sign into one class, and delta exists iff that
+map is a bijection that keeps the class sizes (`equivariant_delta`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .checkerboard import LatticeIsometry, _signed_order
+from .checkerboard import LatticeIsometry
 from .lattice import (GramLattice, HypothesisError, InputError, Matrix,
                       _as_matrix, _freeze, _Frozen, _gram, _ints,
                       is_positive_definite, mat_mul)
@@ -72,10 +71,6 @@ class SignedPermutation(_Frozen):
     @property
     def k(self) -> int:
         return len(self.perm)
-
-    def order(self) -> int:
-        """Exact multiplicative order (`_signed_order`)."""
-        return _signed_order(self.perm, self.signs)
 
 
 class ObstructionReport(NamedTuple):
@@ -332,43 +327,23 @@ def orbit_classes(embeddings: EmbeddingSet) -> list[tuple[Embedding, int]]:
     return list(embeddings.classes)
 
 
-def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]],
-                      required_order: int) -> Optional[SignedPermutation]:
-    """A signed permutation P with P.E = E.R and P^n = I, n =
-    required_order, or None. P is returned on the nonzero rows of E, a
-    `SignedPermutation` of length len(E.rows); on (Z^k, Id) it also fixes
-    each implied zero row with sign +1.
+def equivariant_delta(E: Embedding,
+                      R: LatticeIsometry | Sequence[Sequence[int]]
+                      ) -> Optional[SignedPermutation]:
+    """A signed permutation P with P.E = E.R, or None. P is returned on
+    the nonzero rows of E, a `SignedPermutation` of length len(E.rows);
+    on (Z^k, Id) it also fixes each implied zero row with sign +1.
 
-    delta is how the lifted order-n symmetry acts on (Z^k, Id), so the
-    theorem gives delta^n = I, not order exactly n. Row i of P must send
-    some row of E to row i of T = E.R up to sign. Group the nonzero rows
-    of E into classes of rows equal up to sign: T maps each class into
-    one class, its image. So a P exists only if every image is a nonzero
-    class of the same size and distinct classes have distinct images,
-    which also rules out a singular R. Then P matches the a-th row of
-    each class to the a-th row of its image, with the sign that makes
-    the two rows equal.
-
-    Take an orbit of l classes whose signs vR = +-v' multiply to S. Any
-    P^l maps each class of the orbit onto itself, and a cycle of length
-    c of that return map is a cycle of P of length l*c with sign S^c,
-    whose order is l*c, or 2*l*c where S^c = -1. If it divides n, so
-    does ord(l, S): l divides l*c, and where S = -1 either c is odd and
-    2l divides 2lc, or c is even and 2l divides lc. Each cycle of the
-    matching runs through the a-th rows of the l classes once, so it
-    has length l and sign S, as the row signs cancel around it. So the
-    matching has P^n = I whenever any P does, and one order test
-    decides. Where R^n = I, vR^n = v for each row, so l divides n and
-    S^(n/l) = 1: a P exists iff the images keep the class sizes. On
-    sign-normalised rows, as in every canonical representative, the
-    matching is the first leaf of a backtracking that gives each row, in
-    index order, the first unused row of its image.
-
-    Where R has order n, P has order n: P^o = I, o = ord(P), gives
-    E.R^o = P^o.E = E, and E has full column rank (E^T E = G is
-    definite), so R^o = I and n divides o, which divides n. So only
-    where ord(R) is a proper divisor of n can a P exist with none of
-    order exactly n.
+    Row i of P must send some row of E to row i of T = E.R up to sign.
+    Group the nonzero rows of E into classes of rows equal up to sign: T
+    maps each class into one class, its image. So a P exists only if
+    every image is a nonzero class of the same size and distinct classes
+    have distinct images, which also rules out a singular R. Then P
+    matches the a-th row of each class to the a-th row of its image,
+    with the sign that makes the two rows equal. On sign-normalised rows,
+    as in every canonical representative, the matching is the first leaf
+    of a backtracking that gives each row, in index order, the first
+    unused row of its image.
     """
     Rm = _as_matrix(R)
     m = E.source_rank
@@ -389,25 +364,23 @@ def equivariant_delta(E: Embedding, R: LatticeIsometry | Sequence[Sequence[int]]
         for i, j in zip(rows, classes[image]):
             perm[i] = j
             signs[i] = 1 if T[i] == E.rows[j] else -1
-    if required_order % _signed_order(perm, signs):
-        return None
     return SignedPermutation(perm, signs)
 
 
 def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
-                          R: LatticeIsometry,
+                          lifts: Sequence[LatticeIsometry],
                           sigma_K: int,
-                          order: int,
-                          sign_mode: str = "strict") -> ObstructionReport:
+                          order: int) -> ObstructionReport:
     """Decide the equivariant embedding obstruction.
 
     Sets k = -sigma_K + rank(G), enumerates all embedding classes into
-    (Z^k, Id), and decides for each class representative whether a
-    delta with delta^order = I intertwines R. No search: the delta that
-    matches each class of rows to its image in order is valid whenever
-    any delta is, so one order test decides (`equivariant_delta`). With
-    sign_mode="both", -R is also tried, so "obstructed" is only reported
-    when both sign conventions fail.
+    (Z^k, Id), and gives each class the delta of `equivariant_delta` for
+    the first lift R in `lifts` with R^n = I, n = order, that has one.
+    R^n = I, read off R.order, decides delta^n = I: delta^n.E = E.R^n
+    and E has full column rank, so delta^n = I forces R^n = I; where
+    R^n = I, an orbit of l row classes whose signs multiply to S has
+    l | n and S^(n/l) = 1 (v.R^n = v), and the matching runs through it
+    in cycles of length l and sign S, so delta^n = I.
     """
     G = _gram(G)
     if sigma_K > 0:
@@ -415,19 +388,16 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
                               "mirror the knot first")
     if sigma_K % 2 != 0:
         raise ValueError("-sigma(K) must be even")
-    if sign_mode not in ("strict", "both"):
-        raise ValueError("sign_mode must be 'strict' or 'both'")
+    if not lifts:
+        raise ValueError("need at least one lift")
     k = -sigma_K + G.rank
     embeddings = enumerate_embeddings(G, k)
     classes = orbit_classes(embeddings)
+    kept = [R for R in lifts if order % R.order == 0]
     per_class = []
-    minus_R = (tuple([tuple([-x for x in row]) for row in R.matrix])
-               if sign_mode == "both" else None)
     for rep, _size in classes:
-        delta = equivariant_delta(rep, R, order)
-        if delta is None and minus_R is not None:
-            delta = equivariant_delta(rep, minus_R, order)
-        per_class.append((rep, delta))
+        deltas = (equivariant_delta(rep, R) for R in kept)
+        per_class.append((rep, next(filter(None, deltas), None)))
     obstructed = all(d is None for _, d in per_class)
     if obstructed:
         conclusion = (f"no equivariant embedding into (Z^{k}, Id): "

@@ -9,7 +9,8 @@ classes by bucketing those with a sign-normalise-and-sort of the rows
 written here and by the earlier orderly search that filtered full norm
 pools of Z^k, delta via exhaustive search over all signed permutations
 and by the earlier backtracking over every zero row, orbit sizes from
-full factorials, the transpose, the matrices of the identity and of a
+full factorials, the order of a matrix by dense powers, the
+transpose, the matrices of the identity and of a
 signed permutation built entry by entry, the eigenspaces of an
 involution by row reduction in Fraction, with the form restricted to
 them as B^T G B, and graph automorphisms by comparing Counters of
@@ -398,7 +399,8 @@ def delta_over_all_zero_rows(E: Embedding, R, required_order: int
     def search(pos: int) -> Optional[SignedPermutation]:
         if pos == k:
             P = SignedPermutation(tuple(perm), tuple(signs))
-            return P if required_order % P.order() == 0 else None
+            return (P if required_order % signed_perm_order(perm, signs) == 0
+                    else None)
         i = order_rows[pos]
         for j, s in candidates[i]:
             if used[j]:
@@ -446,6 +448,18 @@ def exhaustive_delta_exists(E, R, required_order):
                 if required_order % signed_perm_order(perm, signs) == 0:
                     return True
     return False
+
+
+def matrix_order(R, bound=720):
+    """The least d >= 1 with R^d = I, by dense products, for a square
+    integer matrix R of finite order at most `bound`."""
+    one = identity(len(R))
+    power, d = tuple(map(tuple, R)), 1
+    while power != one:
+        if d == bound:
+            raise ValueError(f"R has no order up to {bound}")
+        power, d = dense_mat_mul(power, R), d + 1
+    return d
 
 
 def random_unimodular(rng, n, steps=6):

@@ -10,16 +10,16 @@ import time
 from eqknot import (BoundsInput, CheckerboardGraph, GramLattice,
                     SignedPermutation, SymmetrySpec, aggregate,
                     canonical_form, donaldson_obstruction,
-                    enumerate_embeddings, equivariant_delta, gl_full_form,
-                    gl_lattice, gsig_direct_sum, gsig_genus_bound,
-                    gsig_involution, gsig_periodic_bound, induced_isometry,
-                    rh_bound, signature)
+                    enumerate_embeddings, gl_full_form, gl_lattice,
+                    gsig_direct_sum, gsig_genus_bound, gsig_involution,
+                    gsig_periodic_bound, induced_isometry, rh_bound,
+                    signature)
 from eqknot.lattice import mat_mul
 from conftest import (brute_force_classes, brute_force_embeddings,
                       conjugate, embedding, exhaustive_delta_exists,
                       full_matrix, random_connected_graph,
                       random_unimodular, signed_perm_matrix)
-from test_embedsearch import _solve_isometry
+from test_embedsearch import _class_delta, _solve_isometry
 
 GRAM_946 = [[0, 2, -1, 0], [2, 0, 0, -1], [-1, 0, 0, 2], [0, -1, 2, 0]]
 TAU_946 = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -37,7 +37,7 @@ def test_criterion_1_9_40_obstruction():
     G = gl_lattice(g)
     s = SymmetrySpec([2, 3, 0, 1, 4], 2, "strong_inversion", 1)
     R = induced_isometry(g, s)
-    rep = donaldson_obstruction(G, R, -2, 2)
+    rep = donaldson_obstruction(G, [R], -2, 2)
     elapsed = time.monotonic() - t0
     assert rep.k == 6
     assert rep.class_count == 2
@@ -53,7 +53,7 @@ def test_criterion_2_9_40_pinned_genus():
     G = gl_lattice(g)
     s = SymmetrySpec([2, 3, 0, 1, 4], 2, "strong_inversion", 1)
     R = induced_isometry(g, s)
-    rep = donaldson_obstruction(G, R, -2, 2)
+    rep = donaldson_obstruction(G, [R], -2, 2)
     bounds = aggregate(BoundsInput(sigma_K=-2, g4_K=1,
                                    equivariant_unknotting_moves=2),
                        obstruction=rep)
@@ -154,6 +154,8 @@ def test_criterion_6_oracle_equivalence():
         m = rng.randint(1, 3)
         E = embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
                           for _ in range(k)])
+        if (k - E.source_rank) % 2:  # sigma = rank - k must be even
+            continue
         perm = list(range(k))
         rng.shuffle(perm)
         P = SignedPermutation(perm, [rng.choice([1, -1]) for _ in range(k)])
@@ -161,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
         if R is None:
             continue
         req = rng.choice([1, 2, 3, 4])
-        got = equivariant_delta(E, R, req)
+        _, got = _class_delta(E, R, req)
         assert (got is not None) == exhaustive_delta_exists(E, R, req)
         done += 1
     elapsed = time.monotonic() - t0

@@ -140,7 +140,8 @@ class TestParseCase:
     @pytest.mark.parametrize("bounds", [
         {"g4_K": "one"}, {"g4_K": True}, {"g4_K": 1.5}, {"period_n": 1},
         {"equivariant_unknotting_moves": -1}, {"gsig": "abc"},
-        {"gsig": "1/0"}, {"gsig": [4]}])
+        {"gsig": "1/0"}, {"gsig": [4]}, {"sigma_K": -3},
+        {"sigma_quotient": 1}])
     def test_bad_bounds_schema(self, bounds):
         doc = json.loads(NINE_40.read_text())
         doc["bounds"] = bounds
@@ -408,13 +409,19 @@ class TestBatchCommand:
         words = json.loads(NINE_40.read_text())
         words["bounds"] = {"g4_K": "one"}
         (tmp_path / "words.json").write_text(json.dumps(words))
+        # a bounds sigma_K that is not the case's would set the Donaldson
+        # bound from a k the obstruction did not run at
+        other = json.loads(NINE_40.read_text())
+        other["bounds"] = {"sigma_K": -8}
+        (tmp_path / "other.json").write_text(json.dumps(other))
         code, out = run(["batch", str(tmp_path), "--json"])
         assert code == 0
         rows = {r["file"]: r for r in map(json.loads, out.splitlines())}
-        assert len(rows) == 4
+        assert len(rows) == 5
         assert rows["bad.json"]["error"].startswith("SCHEMA")
         assert rows["odd.json"]["error"].startswith("SCHEMA")
         assert rows["words.json"]["error"].startswith("SCHEMA")
+        assert rows["other.json"]["error"].startswith("SIGMA_MISMATCH")
         assert rows["9_40.json"]["obstructed"] is True
 
     def test_unreadable_and_undecodable_rows(self, tmp_path):
@@ -479,6 +486,10 @@ def test_undecodable_file_exit_2(argv, name, tmp_path, capsys):
     ["gsig", str(NINE_40), "--sigma", "-2"],
     ["gsig", "--gram", str(NINE_46), "--quotient-sigma", "2"],
     ["gsig", "--sigma", "-4", "--quotient-sigma", "2"],
+    ["gsig", "--period", "2", "--sigma", "1", "--quotient-sigma", "0"],
+    ["gsig", "--period", "2", "--sigma", "-4", "--quotient-sigma", "1"],
+    ["bounds", "--sigma", "3"],
+    ["bounds", "--period", "2", "--sigma", "-2", "--quotient-sigma", "-1"],
 ])
 def test_bad_flag_exit_2(argv, tmp_path, capsys):
     gram = tmp_path / "g.json"
@@ -507,6 +518,10 @@ INPUT_ERRORS = [
      "error SCHEMA: 'bounds' must be an object"),
     ("bounds_unknown_fields", _nine_40_with(bounds={"g4_K": 1, "x": 1}),
      ["obstruct", "CASE"], "error SCHEMA: unknown bounds fields: ['x']"),
+    ("bounds_sigma_mismatch", _nine_40_with(bounds={"sigma_K": -8}),
+     ["obstruct", "CASE"],
+     "error SIGMA_MISMATCH: 'bounds.sigma_K' disagrees with the case's "
+     "sigma"),
     ("period_without_quotient_sigma", None,
      ["gsig", "--period", "2", "--sigma", "-4"],
      "error SCHEMA: --period needs --sigma and --quotient-sigma"),

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from eqknot import (CheckerboardGraph, Embedding, GramLattice,
-                    LatticeIsometry, SignedPermutation, canonical_form,
-                    donaldson_obstruction, enumerate_embeddings,
-                    enumerate_vectors, equivariant_delta, gl_lattice,
-                    induced_isometry, orbit_classes)
+                    LatticeIsometry, SignedPermutation, SymmetrySpec,
+                    canonical_form, donaldson_obstruction,
+                    enumerate_embeddings, enumerate_vectors,
+                    equivariant_delta, gl_lattice, induced_isometry,
+                    orbit_classes)
 from eqknot import embedsearch
 from eqknot.checkerboard import _signed_order
 from eqknot.cli import parse_case
@@ -19,7 +20,7 @@ from conftest import (brute_force_classes, brute_force_embeddings,
                       char_poly, conjugate, delta_over_all_zero_rows,
                       dense_bareiss_inertia, dense_mat_mul, embedding,
                       exhaustive_delta_exists, full_delta, full_matrix,
-                      identity, orbit_size_by_factorials,
+                      identity, matrix_order, orbit_size_by_factorials,
                       pool_embedding_classes, random_unimodular,
                       signed_perm_matrix, signed_perm_order, transpose)
 
@@ -410,20 +411,17 @@ def test_rejects_non_int_entries(cls, args):
 class TestSignedPermutation:
     def test_order_from_cycles(self, rng):
         # 2-cycle with sign product -1 squares to -Id on the pair: order 4
-        p = SignedPermutation([1, 0], [1, -1])
-        assert p.order() == 4
-        q = SignedPermutation([1, 0], [1, 1])
-        assert q.order() == 2
-        assert SignedPermutation([0, 1], [1, 1]).order() == 1
-        assert SignedPermutation([0, 1], [-1, 1]).order() == 2
+        assert _signed_order([1, 0], [1, -1]) == 4
+        assert _signed_order([1, 0], [1, 1]) == 2
+        assert _signed_order([0, 1], [1, 1]) == 1
+        assert _signed_order([0, 1], [-1, 1]) == 2
         # random signed permutations against the conftest oracle
         for _ in range(300):
             k = rng.randint(1, 10)
             perm = list(range(k))
             rng.shuffle(perm)
             signs = [rng.choice([1, -1]) for _ in range(k)]
-            assert (SignedPermutation(perm, signs).order()
-                    == signed_perm_order(perm, signs))
+            assert _signed_order(perm, signs) == signed_perm_order(perm, signs)
 
     def test_matrix_orthogonal(self, rng):
         for _ in range(50):
@@ -466,16 +464,40 @@ def _solve_isometry(E, P):
     return R if mat_mul(rows, R) == T else None
 
 
+def _class_delta(E, R, order):
+    """The canonical representative C of the class of E, and the delta
+    that `donaldson_obstruction` gives C for the one lift R at symmetry
+    order `order`: G = E^T E into Z^k, k = E.k, so k - rank G must be
+    even, as sigma = rank G - k is a knot signature."""
+    rows = full_matrix(E)
+    G = dense_mat_mul(transpose(rows), rows)
+    lift = LatticeIsometry(tuple(map(tuple, R)), matrix_order(R))
+    rep = donaldson_obstruction(G, [lift], len(G) - E.k, order)
+    C = canonical_form(E)
+    return C, dict(rep.per_class)[C]
+
+
+def _lifts(case, drop=None):
+    """The isometries of the case's symmetry with lift sign +1 and -1,
+    at the dropped vertex `drop`; the second is minus the first."""
+    sym = case.symmetry
+    lifts = [induced_isometry(case.graph, SymmetrySpec(
+        sym.vertex_perm, sym.order, sym.kind, sign), drop) for sign in (1, -1)]
+    assert lifts[1].matrix == tuple(tuple(-x for x in row)
+                                    for row in lifts[0].matrix)
+    return lifts
+
+
 class TestEquivariantDelta:
     def test_identity(self):
         E = Embedding(2, [(1, 0), (0, 1)])
-        d = equivariant_delta(E, [[1, 0], [0, 1]], 1)
+        d = equivariant_delta(E, [[1, 0], [0, 1]])
         assert d is not None and signed_perm_matrix(d) == identity(2)
 
     def test_e_identity_delta_is_r(self):
         R = [[0, 1], [1, 0]]
         E = Embedding(2, [(1, 0), (0, 1)])
-        d = equivariant_delta(E, R, 2)
+        d = equivariant_delta(E, R)
         assert d is not None
         assert signed_perm_matrix(d) == ((0, 1), (1, 0))
 
@@ -487,60 +509,65 @@ class TestEquivariantDelta:
                   [[1, 0], [0, Fraction(1)]], [[True, 0], [0, 1]]):
             with pytest.raises(ValueError,
                                match="^matrix entries must be ints$"):
-                equivariant_delta(E, R, 1)
+                equivariant_delta(E, R)
 
     def test_order_constraint_strict(self):
         # delta^n = I, not order exactly n: R = I at n = 2 gives the
-        # identity, and R = -I, of order 2, has no delta with delta^3 = I
-        E = Embedding(2, [(1, 0), (0, 1)])
-        assert (equivariant_delta(E, [[1, 0], [0, 1]], 2)
-                == SignedPermutation([0, 1], [1, 1]))
-        assert equivariant_delta(E, [[-1, 0], [0, -1]], 3) is None
+        # identity, and R = -I, of order 2, gives delta = -I at n = 2 but
+        # no delta with delta^3 = I
+        G = identity(2)
+        one = LatticeIsometry(identity(2), 1)
+        minus = LatticeIsometry(((-1, 0), (0, -1)), 2)
+
+        def deltas(R, n):
+            rep = donaldson_obstruction(G, [R], 0, n)
+            return [d for _, d in rep.per_class]
+
+        assert deltas(one, 2) == [SignedPermutation([0, 1], [1, 1])]
+        assert deltas(minus, 2) == [SignedPermutation([0, 1], [-1, -1])]
+        assert deltas(minus, 3) == [None]
 
     def test_singular_r_has_no_delta(self):
         # E.R has a zero row where E has a nonzero one, and a P sends
         # nonzero rows to nonzero rows
-        E = Embedding(2, [(1,)])
-        for order in (1, 2):
-            assert equivariant_delta(E, [[0]], order) is None
+        assert equivariant_delta(Embedding(2, [(1,)]), [[0]]) is None
         # two classes of one row each with the same image, and a class
         # that is nobody's image: the class map is no bijection
         E = Embedding(2, [(1, 0), (0, 1)])
-        for order in (1, 2):
-            assert equivariant_delta(E, [[1, 0], [1, 0]], order) is None
+        assert equivariant_delta(E, [[1, 0], [1, 0]]) is None
 
     def test_image_class_of_other_size_has_no_delta(self):
         # R swaps the classes of e_1 (two rows) and e_2 (one row), so no
         # P matches the rows of one class to those of its image
         E = Embedding(3, [(1, 0), (1, 0), (0, 1)])
-        for order in (1, 2, 4):
-            assert equivariant_delta(E, [[0, 1], [1, 0]], order) is None
+        assert equivariant_delta(E, [[0, 1], [1, 0]]) is None
 
     def test_zero_rows_free(self):
-        # ambient rank exceeds the span: a delta on the one nonzero row
-        # whose order divides the required one
+        # ambient rank exceeds the span: a delta on the one nonzero row,
+        # the identity, as R = (1)
         E = Embedding(3, [(1,)])
-        d = equivariant_delta(E, [[1]], 2)
-        assert d is not None and 2 % d.order() == 0
+        d = equivariant_delta(E, [[1]])
+        assert d is not None and signed_perm_order(d.perm, d.signs) == 1
         assert mat_mul(signed_perm_matrix(d), E.rows) == E.rows
 
     def test_surplus_zero_rows_fixed(self):
-        # five equal rows and three implied zero rows, order 2: delta is
-        # held on the five rows, and R = (1) gives the identity
+        # five equal rows and three implied zero rows: delta is held on
+        # the five rows, and R = (1) gives the identity
         E = Embedding(8, [(1,)] * 5)
-        d = equivariant_delta(E, [[1]], 2)
+        d = equivariant_delta(E, [[1]])
         assert d == SignedPermutation(range(5), (1,) * 5)
         assert full_delta(E, d) == SignedPermutation(range(8), (1,) * 8)
 
     def test_many_zero_rows(self):
-        # the 10**20 - 1 zero rows are implied, so R = (1) at order 3
-        # gives the identity on the one nonzero row
+        # the 10**20 - 1 zero rows are implied, so R = (1) gives the
+        # identity on the one nonzero row
         E = Embedding(10**20, [(1,)])
-        assert equivariant_delta(E, [[1]], 3) == SignedPermutation([0], [1])
+        assert equivariant_delta(E, [[1]]) == SignedPermutation([0], [1])
 
     def test_leaf_builds_no_signed_permutation(self, monkeypatch):
-        # six equal rows, R = (-1) and order 3 have no delta; no
-        # SignedPermutation is built to take its order
+        # G = (6) in Z^1007, whose classes include six equal rows, with
+        # R = (-1) at order 3: R^3 != I rules the lift out before any
+        # class is looked at, so no SignedPermutation is built
         built = []
 
         def counting(*args):
@@ -548,37 +575,44 @@ class TestEquivariantDelta:
             return SignedPermutation(*args)
 
         monkeypatch.setattr(embedsearch, "SignedPermutation", counting)
-        E = Embedding(1006, [(1,)] * 6)
-        assert equivariant_delta(E, [[-1]], 3) is None
-        assert built == []
+        rep = donaldson_obstruction([[6]], [LatticeIsometry(((-1,),), 2)],
+                                    -1006, 3)
+        assert Embedding(1007, [(-1,)] * 6) in dict(rep.per_class)
+        assert rep.obstructed and built == []
 
     def test_one_order_test_decides(self, monkeypatch):
-        # the class -e_1 is fixed, and -e_2, -e_3 form an orbit of two
-        # classes with sign product -1, so every delta has a cycle of
-        # order 4 and none has delta^2 = I. One order test decides it,
-        # where a backtracking takes the order of every leaf it reaches
+        # R fixes e_1 and swaps e_2 and e_3 with sign product -1, so R has
+        # order 4. At n = 2 one test of R.order rules the lift out and no
+        # class is matched; the exhaustive oracle agrees that no delta has
+        # delta^2 = I. At n = 4 the class gets a delta of order 4
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return _signed_order(*args)
+        def counting(E, R):
+            calls.append(E)
+            return equivariant_delta(E, R)
 
-        monkeypatch.setattr(embedsearch, "_signed_order", counting)
-        E = Embedding(18, [(-1, 0, 0)] * 6 + [(0, -1, 0)] * 6
-                      + [(0, 0, -1)] * 6)
-        R = [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
-        assert equivariant_delta(E, R, 2) is None
-        assert len(calls) <= 1
+        monkeypatch.setattr(embedsearch, "equivariant_delta", counting)
+        R = LatticeIsometry(((1, 0, 0), (0, 0, 1), (0, -1, 0)), 4)
+        rep = donaldson_obstruction(identity(3), [R], -2, 2)
+        assert rep.obstructed and calls == []
+        (E, _), = rep.per_class
+        assert not exhaustive_delta_exists(E, R.matrix, 2)
+        rep = donaldson_obstruction(identity(3), [R], -2, 4)
+        (E, d), = rep.per_class
+        assert calls == [E]
+        assert signed_perm_order(d.perm, d.signs) == 4
 
     def test_same_delta_as_search_over_all_zero_rows(self, rng):
         # c copies of +-e_i for each i, shuffled, then z implied zero
-        # rows, and R a signed permutation matrix, at required orders 1
-        # to 6. With the rows sign-normalised, as in a canonical
+        # rows, and R a signed permutation matrix, at orders n from 1 to
+        # 6. With the rows sign-normalised, as in a canonical
         # representative, the matching, with each zero row fixed with
         # sign +1, is the first leaf of the backtracking over all k rows,
-        # so it finds the same P. With mixed signs it may find another
-        # P, so P is checked and its existence compared (k <= 5 only, as
-        # the exhaustive oracle scans all 2^k * k! signed permutations)
+        # so it finds the same P where R^n = I, and where R^n != I the
+        # backtracking finds no P with P^n = I. With mixed signs it may
+        # find another P, so P is checked, its order is that of R, and
+        # its existence is compared (k <= 5 only, as the exhaustive
+        # oracle scans all 2^k * k! signed permutations)
         tested = mixed = 0
         while tested < 80:
             m, c, z = rng.randint(1, 2), rng.randint(1, 3), rng.randint(2, 4)
@@ -594,29 +628,31 @@ class TestEquivariantDelta:
             rng.shuffle(image)
             R = [[rng.choice((1, -1)) * (j == image[i]) for j in range(m)]
                  for i in range(m)]
+            order_R = matrix_order(R)
+            matched = full_delta(normal, equivariant_delta(normal, R))
+            got = equivariant_delta(E, R)
+            if got is not None:
+                assert got.k == len(E.rows)
+                assert (mat_mul(signed_perm_matrix(got), E.rows)
+                        == mat_mul(E.rows, R))
+                assert signed_perm_order(got.perm, got.signs) == order_R
             for order in range(1, 7):
-                assert (full_delta(normal, equivariant_delta(normal, R, order))
-                        == delta_over_all_zero_rows(normal, R, order)), (
-                            rows, R)
+                kept = order % order_R == 0
+                assert (delta_over_all_zero_rows(normal, R, order)
+                        == (matched if kept else None)), (rows, R)
                 if E.k > 5:
                     continue
                 mixed += 1
-                got = equivariant_delta(E, R, order)
-                assert ((got is not None)
+                assert ((got is not None and kept)
                         == exhaustive_delta_exists(E, R, order)), (rows, R)
-                if got is not None:
-                    assert got.k == len(E.rows)
-                    assert (mat_mul(signed_perm_matrix(got), E.rows)
-                            == mat_mul(E.rows, R))
-                    assert order % signed_perm_order(got.perm,
-                                                     got.signs) == 0
         assert mixed > 100
 
     def test_same_delta_on_census_classes(self):
         # every class of the CLI census at its default dropped vertex,
-        # with R and -R and the case's order. The representatives are
-        # canonical, so the matching, with each implied zero row fixed,
-        # finds the P of the backtracking over all rows
+        # with the lifts of both signs and the case's order. The
+        # representatives are canonical, so the matching, with each
+        # implied zero row fixed, finds the P of the backtracking over
+        # all rows
         from test_cli import _drop_vertex_cases
         tested = 0
         for name, doc in _drop_vertex_cases().items():
@@ -624,23 +660,62 @@ class TestEquivariantDelta:
             G = gl_lattice(case.graph)
             if case.sigma_K is None or not is_positive_definite(G):
                 continue
-            R = induced_isometry(case.graph, case.symmetry).matrix
             order = case.symmetry.order
-            for E, _ in enumerate_embeddings(G, G.rank - case.sigma_K).classes:
-                for Rm in (R, [[-x for x in row] for row in R]):
-                    got = full_delta(E, equivariant_delta(E, Rm, order))
-                    want = delta_over_all_zero_rows(E, Rm, order)
+            for R in _lifts(case):
+                rep = donaldson_obstruction(G, [R], case.sigma_K, order)
+                for E, d in rep.per_class:
+                    want = delta_over_all_zero_rows(E, R, order)
                     tested += 1
-                    assert got == want, (name, E, Rm)
+                    assert full_delta(E, d) == want, (name, E, R)
         assert tested > 300
 
+    def test_delta_iff_search_over_all_zero_rows_finds_one(self):
+        # every case of the CLI census at every dropped vertex, both lift
+        # signs and n in {1, 2, 3, 4, 6, the case's order}: a class gets
+        # a delta from donaldson_obstruction iff the backtracking over
+        # all k rows finds one with delta^n = I, and each delta passes
+        # delta.E = E.R and delta^n = I by dense products
+        from test_cli import _drop_vertex_cases
+        tested = found = 0
+        for name, doc in _drop_vertex_cases().items():
+            case = parse_case(doc)
+            if case.sigma_K is None:
+                continue
+            for drop in range(case.graph.vertex_count):
+                G = gl_lattice(case.graph, drop)
+                if not is_positive_definite(G):
+                    continue
+                for R in _lifts(case, drop):
+                    assert R.order == matrix_order(R.matrix)
+                    for n in {1, 2, 3, 4, 6, case.symmetry.order}:
+                        rep = donaldson_obstruction(G, [R], case.sigma_K, n)
+                        for E, d in rep.per_class:
+                            want = delta_over_all_zero_rows(E, R, n)
+                            assert (d is None) == (want is None), (
+                                name, drop, R, n, E)
+                            tested += 1
+                            if d is None:
+                                continue
+                            found += 1
+                            P = signed_perm_matrix(full_delta(E, d))
+                            rows = full_matrix(E)
+                            assert (dense_mat_mul(P, rows)
+                                    == dense_mat_mul(rows, R.matrix))
+                            assert n % matrix_order(P) == 0
+        assert tested > found > 0
+
     def test_exhaustive_oracle(self, rng):
+        # random E and P, and R solving P.E = E.R, at orders 1 to 4: the
+        # class of E gets a delta from donaldson_obstruction iff some P
+        # with P.E = E.R has P^n = I
         tested = 0
         while tested < 100:
             k = rng.randint(2, 5)
             m = rng.randint(1, 3)
             E = embedding(k, [tuple(rng.randint(-1, 1) for _ in range(m))
                               for _ in range(k)])
+            if (k - E.source_rank) % 2:
+                continue
             perm = list(range(k))
             rng.shuffle(perm)
             P = SignedPermutation(perm, [rng.choice([1, -1])
@@ -649,38 +724,47 @@ class TestEquivariantDelta:
             if R is None:
                 continue
             req = rng.choice([1, 2, 3, 4])
-            got = equivariant_delta(E, R, req)
-            want = exhaustive_delta_exists(E, R, req)
-            assert (got is not None) == want
+            C, got = _class_delta(E, R, req)
+            assert (got is not None) == exhaustive_delta_exists(E, R, req)
             if got is not None:
-                assert (mat_mul(signed_perm_matrix(got), E.rows)
-                        == mat_mul(E.rows, R))
-                assert req % got.order() == 0
+                assert (mat_mul(signed_perm_matrix(got), C.rows)
+                        == mat_mul(C.rows, R))
+                assert req % signed_perm_order(got.perm, got.signs) == 0
             tested += 1
 
 
 class TestDonaldsonObstruction:
     def test_unknot_like(self):
         R = LatticeIsometry(((1,),), 1)
-        rep = donaldson_obstruction([[1]], R, 0, 1)
+        rep = donaldson_obstruction([[1]], [R], 0, 1)
         assert rep.k == 1
         assert not rep.obstructed
 
     def test_swap_two_orthogonal(self):
         R = LatticeIsometry(((0, 1), (1, 0)), 2)
-        rep = donaldson_obstruction([[2, 0], [0, 2]], R, 0, 2)
+        rep = donaldson_obstruction([[2, 0], [0, 2]], [R], 0, 2)
         assert not rep.obstructed
         assert any(d is not None for _, d in rep.per_class)
 
     def test_rejects_positive_sigma(self):
         R = LatticeIsometry(((1,),), 1)
         with pytest.raises(ValueError):
-            donaldson_obstruction([[1]], R, 2, 1)
+            donaldson_obstruction([[1]], [R], 2, 1)
+
+    def test_first_kept_lift_gives_the_delta(self):
+        # the lifts (-1), of order 2, and (1), of order 1, on G = (1) in
+        # Z^1: at n = 2 both are kept and the first gives delta = (-1);
+        # at n = 3 only the second is kept, and delta = (1)
+        lifts = [LatticeIsometry(((-1,),), 2), LatticeIsometry(((1,),), 1)]
+        for n, sign in ((2, -1), (3, 1)):
+            rep = donaldson_obstruction([[1]], lifts, 0, n)
+            assert [d for _, d in rep.per_class] == [
+                SignedPermutation([0], [sign])]
 
     def test_basis_change_invariance(self, rng):
         G = ((2, 0), (0, 2))
         R = ((0, 1), (1, 0))
-        base = donaldson_obstruction(G, LatticeIsometry(R, 2), 0, 2)
+        base = donaldson_obstruction(G, [LatticeIsometry(R, 2)], 0, 2)
         from fractions import Fraction
         for _ in range(10):
             U = random_unimodular(rng, 2)
@@ -691,6 +775,6 @@ class TestDonaldsonObstruction:
                    (Fraction(-U[1][0], det), Fraction(U[0][0], det)))
             R2 = mat_mul(mat_mul(inv, R), U)
             R2 = tuple(tuple(int(x) for x in row) for row in R2)
-            rep = donaldson_obstruction(G2, LatticeIsometry(R2, 2), 0, 2)
+            rep = donaldson_obstruction(G2, [LatticeIsometry(R2, 2)], 0, 2)
             assert rep.obstructed == base.obstructed
             assert rep.class_count == base.class_count

@@ -40,7 +40,7 @@ RULES = [
     ("crossings_bool", lambda: knot_signature(nine_40(), True),
      False, "SCHEMA", CROSSINGS),
     ("positive_sigma", lambda: donaldson_obstruction(
-        [[1]], LatticeIsometry(((1,),), 1), 2, 1),
+        [[1]], [LatticeIsometry(((1,),), 1)], 2, 1),
      True, "POSITIVE_SIGMA",
      "stated for sigma(K) <= 0; mirror the knot first"),
     ("negative_k", lambda: enumerate_embeddings([[1]], -1),
@@ -77,12 +77,12 @@ GUARDS = [
     ("vectors_negative_k", lambda: enumerate_vectors(-1, 0),
      "k must be non-negative"),
     ("delta_r_size", lambda: equivariant_delta(
-        Embedding(1, [(1,)]), [[1, 0], [0, 1]], 1),
+        Embedding(1, [(1,)]), [[1, 0], [0, 1]]),
      "isometry dimension does not match embedding source"),
-    ("odd_sigma", lambda: donaldson_obstruction([[1]], UNIT, -1, 1),
+    ("odd_sigma", lambda: donaldson_obstruction([[1]], [UNIT], -1, 1),
      "-sigma(K) must be even"),
-    ("sign_mode", lambda: donaldson_obstruction([[1]], UNIT, 0, 1, "loose"),
-     "sign_mode must be 'strict' or 'both'"),
+    ("no_lifts", lambda: donaldson_obstruction([[1]], [], 0, 1),
+     "need at least one lift"),
     ("no_vertex", lambda: CheckerboardGraph(0, []),
      "graph needs at least one vertex"),
     ("symmetry_kind", lambda: SymmetrySpec([1, 0], 2, "rotation", 1),

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, or
-re-exported through its __all__, every module-level private function
+re-exported through its __all__, a private name is imported only from
+`lattice`, every module-level private function
 is referenced somewhere in the package, every public one is referenced
 in the package, exported or named by a demo, every field of a
 NamedTuple record is read in the package or a demo, and importing the
@@ -54,6 +55,34 @@ def test_checker_finds_unused():
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The private names, as `module.name`, that `from` imports in source
+    take from a module other than `lattice`, the arithmetic kernel whose
+    helpers every module may share. Dunders and `__future__` do not
+    count."""
+    return sorted(f"{node.module}.{a.name}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module not in ("lattice", "__future__")
+                  for a in node.names
+                  if a.name.startswith("_") and not a.name.endswith("__"))
+
+
+def test_checker_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .lattice import _freeze, mat_mul\n"
+              "from .checkerboard import _signed_order, __doc__\n"
+              "from .cli import _load as load\n")
+    assert private_imports(source) == ["checkerboard._signed_order",
+                                       "cli._load"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_private_names_come_only_from_lattice(path):
+    assert private_imports(path.read_text()) == []
 
 
 def _functions_and_references(sources: list[str]) -> tuple[set, set]:
