@@ -13,10 +13,12 @@ Case file schema (JSON object):
   bounds: optional object with BoundsInput fields
 
 Exit codes: 0 computed (any verdict), 2 input error, 3 theorem hypothesis
-unmet. Obstruction verdicts are data, not exit statuses. Each error is a
-`lattice.InputError` raised where its rule is checked, here or in the
-library; `main` prints "error CODE: message", `batch` a "CODE: message"
-row. The commands return nothing: `main` alone sets the exit status.
+unmet. Obstruction verdicts are data, not exit statuses. A reader that
+closes stdout early, as `| head` does, is not an error: the command
+stops writing and exits 0. Each error is a `lattice.InputError` raised
+where its rule is checked, here or in the library; `main` prints
+"error CODE: message", `batch` a "CODE: message" row. The commands
+return nothing: `main` alone sets the exit status.
 Exit 2: IO, SCHEMA, LOOP_EDGE, NOT_AUTOMORPHISM, SIGMA_MISMATCH,
 MISSING_SIGMA. Exit 3, a `lattice.HypothesisError`: NOT_DEFINITE,
 POSITIVE_SIGMA, NOT_INVOLUTION.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -276,7 +279,7 @@ def cmd_obstruct(args, out):
     if args.json:
         doc = dict(obstruction_to_dict(rep), name=case.name,
                    sigma=case.sigma_K)
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc), file=out)
     else:
         _print_obstruction(case, rep, out)
 
@@ -323,7 +326,7 @@ def cmd_gsig(args, out):
         raise InputError("SCHEMA",
                          "give a case file, --gram, or --period flags")
     if args.json:
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc), file=out)
     else:
         for k, v in doc.items():
             print(f"{k}: {v}", file=out)
@@ -338,7 +341,7 @@ def cmd_bounds(args, out):
         g4_K=args.g4, genus_upper=args.genus_upper))
     doc = bounds_to_dict(aggregate(inp))
     if args.json:
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc), file=out)
     else:
         _print_bounds(doc, out)
 
@@ -355,7 +358,7 @@ def cmd_embed(args, out):
                      "orbit_size": size} for rep, size in classes],
     }
     if args.json:
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc), file=out)
     else:
         print(f"embeddings: {doc['embedding_count']}   "
               f"classes: {doc['class_count']}", file=out)
@@ -484,10 +487,16 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args, out)
+        out.flush()  # a buffered stdout meets a closed pipe here, not at exit
     except InputError as e:
         print(f"error {e.code}: {e}", file=sys.stderr)
         return (EXIT_HYPOTHESIS if isinstance(e, HypothesisError)
                 else EXIT_INPUT)
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        # the interpreter flushes stdout at exit, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -759,16 +760,21 @@ def test_sign_mode_both_is_union_of_strict_runs(tmp_path, name, doc):
     assert both["obstructed"] == all(rep["obstructed"] for rep in strict)
 
 
+def src_env() -> dict:
+    """This environment, with the package source first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_limited(argv, limit=1 << 30):
     """Run the CLI on argv in a subprocess under an address-space limit
     of `limit` bytes (1 GiB by default), killed after 60 s."""
     code = ("import sys; from eqknot.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        env=src_env(), capture_output=True,
         text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_AS, (limit, limit)))
@@ -982,8 +988,47 @@ def test_star_leaf_dropped_in_bounded_memory(tmp_path):
 def test_import_leaves_numpy_out():
     code = ("import sys, eqknot.cli; "
             "sys.exit('numpy' in sys.modules)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env())
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_0_quietly(unbuffered):
+    # the reader has gone before anything is written, as `| head` may
+    # leave it; a buffered stdout meets the closed pipe when main
+    # flushes, an unbuffered one at the print
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "eqknot.cli", "obstruct", str(NINE_40),
+             "--json"], stdout=write, stderr=subprocess.PIPE, env=env,
+            text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
+def test_embed_json_memory_per_row(tmp_path):
+    # the A2 form in Z^100000: one class of 100000 rows, all but three
+    # of them zero. The C encoder builds no object per integer, so the
+    # peak stays below 100 bytes a row, the printed text included
+    gram = tmp_path / "a2.json"
+    gram.write_text(json.dumps([[2, -1], [-1, 2]]))
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = main(["embed", "--gram", str(gram), "--k", "100000",
+                     "--json"], out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(c["representative"])
+               for c in json.loads(buf.getvalue())["classes"])
+    assert code == 0 and rows == 100000
+    assert peak < 100 * rows
