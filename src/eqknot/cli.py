@@ -10,15 +10,18 @@ Case file schema (JSON object):
              required for a strong inversion}
   positive_crossings: optional int from 0 to the number of edges
   sigma: optional even int (overrides the computed signature)
-  bounds: optional object with BoundsInput fields
+  bounds: optional object with BoundsInput fields; "gsig" is an int or a
+          "p/q" string, and no value passes 4096 bits
 
 Exit codes: 0 computed (any verdict), 2 input error, 3 theorem hypothesis
 unmet. Obstruction verdicts are data, not exit statuses. A reader that
-closes stdout early, as `| head` does, is not an error: the command
-stops writing and exits 0. Each error is a `lattice.InputError` raised
-where its rule is checked, here or in the library; `main` prints
-"error CODE: message", `batch` a "CODE: message" row. The commands
-return nothing: `main` alone sets the exit status.
+closes stdout early, as `| head` does, is not an error: the command,
+or `--help`, stops writing and exits 0. Each error is a
+`lattice.InputError` raised where its rule is checked, here or in the
+library; `main` prints "error CODE: message", `batch` a "CODE: message"
+row. The commands return nothing: `main` alone sets the exit status.
+Each flag of `bounds` and `gsig --period` sets the BoundsInput field
+its dest names.
 Exit 2: IO, SCHEMA, LOOP_EDGE, NOT_AUTOMORPHISM, SIGMA_MISMATCH,
 MISSING_SIGMA. Exit 3, a `lattice.HypothesisError`: NOT_DEFINITE,
 POSITIVE_SIGMA, NOT_INVOLUTION.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,12 +52,20 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
+# A bound is at most a product of two input values, so with each value
+# (and a g-signature's numerator and denominator) below 2**MAX_BITS it
+# prints within the 4300 digits `str` converts. A g-signature string is
+# matched before `Fraction` reads it, which would also take exponents
+# and decimals: an integer or p/q, q nonzero, each of at most the 1234
+# digits of 2**MAX_BITS.
+MAX_BITS = 4096
+_FRACTION = re.compile(r"[+-]?[0-9]{1,1234}(/(?!0+\Z)[0-9]{1,1234})?")
+
 
 class KnotCase(NamedTuple):
     """One validated case file. sigma_K is the given sigma, else the one
     positive_crossings implies, else None."""
 
-    name: str
     graph: CheckerboardGraph
     symmetry: SymmetrySpec
     sigma_K: Optional[int] = None
@@ -122,24 +134,30 @@ def parse_case(doc) -> KnotCase:
         if sig is not None and extras.sigma_K not in (None, sig):
             raise InputError("SIGMA_MISMATCH", "'bounds.sigma_K' disagrees "
                              "with the case's sigma")
-    return KnotCase(name=name, graph=graph, symmetry=spec, sigma_K=sig,
+    return KnotCase(graph=graph, symmetry=spec, sigma_K=sig,
                     bounds_extras=extras)
 
 
 def _bounds_input(fields: dict) -> BoundsInput:
     """A BoundsInput from case-file or flag values, checked first: ints
-    (not bools), a period of at least 2, a non-negative move count, even
-    knot signatures, and a g-signature that is an int or a fraction
-    string."""
+    (not bools) of at most MAX_BITS bits, a period of at least 2, a
+    non-negative move count, even knot signatures, and a g-signature
+    that is an int or a "p/q" string of ints, held as the Fraction it
+    parses to, whose numerator and denominator are within MAX_BITS."""
+    gsig = fields.get("gsig")
+    if isinstance(gsig, str):
+        if not _FRACTION.fullmatch(gsig):
+            raise InputError("SCHEMA", "'gsig' is not an integer or a "
+                             f"fraction p/q: {gsig!r}")
+        fields = dict(fields, gsig=Fraction(gsig))
     for key, value in fields.items():
-        if key == "gsig" and isinstance(value, str):
-            try:
-                Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise InputError("SCHEMA", "'gsig' is not an integer or a "
-                                 f"fraction: {value!r}") from None
-        elif value is not None and not _ints((value,)):
+        if value is None:
+            continue
+        if not (_ints((value,)) or type(value) is Fraction):
             raise InputError("SCHEMA", f"'{key}' must be an integer")
+        if max(abs(value.numerator), value.denominator) >> MAX_BITS:
+            raise InputError("SCHEMA",
+                             f"'{key}' has more than {MAX_BITS} bits")
     # the period and move count are checked when parsed, even when no
     # bound reads them
     n = fields.get("period_n")
@@ -214,7 +232,7 @@ def _obstruct_case(case: KnotCase, drop_vertex: Optional[int],
 
 
 def _print_obstruction(case: KnotCase, rep: ObstructionReport, out):
-    print(f"case: {case.name}", file=out)
+    print(f"case: {case.graph.name}", file=out)
     print(f"sigma(K) = {case.sigma_K},  k = {rep.k}", file=out)
     print(f"embedding classes: {rep.class_count}", file=out)
     for idx, (_, delta) in enumerate(rep.per_class):
@@ -277,7 +295,7 @@ def cmd_obstruct(args, out):
     case = parse_case(_load(args.file))
     rep = _obstruct_case(case, args.drop_vertex, args.lift_signs)
     if args.json:
-        doc = dict(obstruction_to_dict(rep), name=case.name,
+        doc = dict(obstruction_to_dict(rep), name=case.graph.name,
                    sigma=case.sigma_K)
         print(json.dumps(doc), file=out)
     else:
@@ -287,22 +305,20 @@ def cmd_obstruct(args, out):
 def cmd_gsig(args, out):
     given = [flag for flag, value in (("a case file", args.file),
                                       ("--gram", args.gram),
-                                      ("--period", args.period))
+                                      ("--period", args.period_n))
              if value is not None]
     if len(given) > 1:
         raise InputError("SCHEMA", f"give only one of {', '.join(given)}")
-    if args.drop_vertex is not None and args.file is None:
-        raise InputError("SCHEMA", "--drop-vertex needs a case file")
-    if args.period is None and (args.sigma is not None
-                                or args.quotient_sigma is not None):
+    if args.period_n is None and (args.sigma_K is not None
+                                  or args.sigma_quotient is not None):
         raise InputError("SCHEMA",
                          "--sigma and --quotient-sigma need --period")
-    if args.period is not None:
-        if args.sigma is None or args.quotient_sigma is None:
+    if args.period_n is not None:
+        if args.sigma_K is None or args.sigma_quotient is None:
             raise InputError("SCHEMA",
                              "--period needs --sigma and --quotient-sigma")
-        inp = _bounds_input(dict(period_n=args.period, sigma_K=args.sigma,
-                                 sigma_quotient=args.quotient_sigma))
+        inp = _bounds_input(dict(period_n=args.period_n, sigma_K=args.sigma_K,
+                                 sigma_quotient=args.sigma_quotient))
         val = gsig_periodic(inp.period_n, inp.sigma_K, inp.sigma_quotient)
         doc = {"gsig": str(val), "method": "periodic-quotient-formula"}
     elif args.gram is not None or args.file is not None:
@@ -315,9 +331,9 @@ def cmd_gsig(args, out):
                 raise HypothesisError(
                     "NOT_INVOLUTION",
                     "eigenspace path needs an order-2 symmetry")
-            G = gl_lattice(case.graph, args.drop_vertex)
-            R = induced_isometry(case.graph, case.symmetry, args.drop_vertex)
-            doc["name"] = case.name
+            G = gl_lattice(case.graph)
+            R = induced_isometry(case.graph, case.symmetry)
+            doc["name"] = case.graph.name
         rep = gsig_involution(G, R)
         doc.update(gsig=str(rep.gsig), sigma_plus=rep.sigma_plus,
                    sigma_minus=rep.sigma_minus, dims=list(rep.dims),
@@ -333,12 +349,7 @@ def cmd_gsig(args, out):
 
 
 def cmd_bounds(args, out):
-    inp = _bounds_input(dict(
-        period_n=args.period, sigma_K=args.sigma,
-        sigma_quotient=args.quotient_sigma,
-        g4top_quotient=args.quotient_g4top, linking_lambda=args.linking,
-        gsig=args.gsig, equivariant_unknotting_moves=args.unknotting_moves,
-        g4_K=args.g4, genus_upper=args.genus_upper))
+    inp = _bounds_input({f: getattr(args, f) for f in BoundsInput._fields})
     doc = bounds_to_dict(aggregate(inp))
     if args.json:
         print(json.dumps(doc), file=out)
@@ -376,7 +387,7 @@ def _batch_row(path: Path, lift_signs: str) -> dict:
             sigma_K=case.sigma_K)
         brep = aggregate(binp, obstruction=rep)
         return {
-            "name": case.name,
+            "name": case.graph.name,
             "file": path.name,
             "sigma": case.sigma_K,
             "k": rep.k,
@@ -429,41 +440,35 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sign-mode", choices=("strict", "both"),
                         default="strict", dest="lift_signs")
 
-    def drop_vertex(sp):
-        sp.add_argument("--drop-vertex", type=int, default=None)
-
     def period(sp):
-        for flag in ("--period", "--sigma", "--quotient-sigma"):
-            sp.add_argument(flag, type=int, default=None)
+        for flag, dest in (("--period", "period_n"), ("--sigma", "sigma_K"),
+                           ("--quotient-sigma", "sigma_quotient")):
+            sp.add_argument(flag, type=int, dest=dest)
 
     ob = sub.add_parser("obstruct", help="equivariant embedding obstruction")
     ob.add_argument("file")
     lift_signs(ob)
-    drop_vertex(ob)
+    ob.add_argument("--drop-vertex", type=int)
     common(ob)
     ob.set_defaults(func=cmd_obstruct)
 
     gs = sub.add_parser("gsig", help="g-signature")
-    gs.add_argument("file", nargs="?", default=None)
-    gs.add_argument("--gram", default=None,
+    gs.add_argument("file", nargs="?")
+    gs.add_argument("--gram",
                     help="JSON file with 'gram' and 'involution' matrices")
     period(gs)
-    drop_vertex(gs)
     common(gs)
     gs.set_defaults(func=cmd_gsig)
 
     bd = sub.add_parser("bounds", help="aggregate genus bounds")
     period(bd)
-    bd.add_argument("--quotient-g4top", type=int, default=None,
-                    dest="quotient_g4top")
-    bd.add_argument("--lambda", type=int, default=None, dest="linking")
-    bd.add_argument("--gsig", default=None,
-                    help="g-signature value (integer or fraction)")
-    bd.add_argument("--unknotting-moves", type=int, default=None,
-                    dest="unknotting_moves")
-    bd.add_argument("--g4", type=int, default=None)
-    bd.add_argument("--genus-upper", type=int, default=None,
-                    dest="genus_upper")
+    bd.add_argument("--quotient-g4top", type=int, dest="g4top_quotient")
+    bd.add_argument("--lambda", type=int, dest="linking_lambda")
+    bd.add_argument("--gsig", help="g-signature value (integer or p/q)")
+    bd.add_argument("--unknotting-moves", type=int,
+                    dest="equivariant_unknotting_moves")
+    bd.add_argument("--g4", type=int, dest="g4_K")
+    bd.add_argument("--genus-upper", type=int)
     common(bd)
     bd.set_defaults(func=cmd_bounds)
 
@@ -484,8 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after --help, which argparse prints to stdout
+            sys.stdout.flush()
+            raise
         args.func(args, out)
         out.flush()  # a buffered stdout meets a closed pipe here, not at exit
     except InputError as e:

@@ -381,6 +381,11 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
     R^n = I, an orbit of l row classes whose signs multiply to S has
     l | n and S^(n/l) = 1 (v.R^n = v), and the matching runs through it
     in cycles of length l and sign S, so delta^n = I.
+
+    A found delta proves that its R preserves G: R^T G R = R^T E^T E R =
+    E^T delta^T delta E = E^T E = G. An "obstructed" verdict finds none,
+    so it first checks R^T G R = G for each kept lift and raises
+    ValueError on one that fails.
     """
     G = _gram(G)
     if sigma_K > 0:
@@ -400,6 +405,12 @@ def donaldson_obstruction(G: GramLattice | Sequence[Sequence[int]],
         per_class.append((rep, next(filter(None, deltas), None)))
     obstructed = all(d is None for _, d in per_class)
     if obstructed:
+        for R in kept:
+            Rm = _as_matrix(R)
+            if (len(Rm) != G.rank or any(len(row) != G.rank for row in Rm)
+                    or mat_mul(tuple(zip(*Rm)), mat_mul(G.gram, Rm))
+                    != G.gram):
+                raise ValueError("lift does not preserve the form")
         conclusion = (f"no equivariant embedding into (Z^{k}, Id): "
                       f"equivariant 4-genus > {-sigma_K // 2}")
     else:

@@ -6,12 +6,15 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from eqknot import InputError
+from eqknot import (InputError, SymmetrySpec, gl_lattice, gsig_involution,
+                    induced_isometry)
 from eqknot.cli import _load, main, parse_case
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -67,7 +70,7 @@ def run(argv):
 class TestParseCase:
     def test_9_40_fixture(self):
         case = parse_case(json.loads(NINE_40.read_text()))
-        assert case.name == "9_40"
+        assert case.graph.name == "9_40"
         assert case.graph.vertex_count == 5
         assert len(case.graph.edges) == 9
         assert case.sigma_K == -2
@@ -154,7 +157,7 @@ class TestParseCase:
         doc = json.loads(NINE_40.read_text())
         doc["bounds"] = {"gsig": "-7/2", "period_n": 2}
         case = parse_case(doc)
-        assert case.bounds_extras.gsig == "-7/2"
+        assert case.bounds_extras.gsig == Fraction(-7, 2)
 
     def test_odd_implied_sigma_schema(self):
         doc = json.loads(NINE_40.read_text())
@@ -229,6 +232,14 @@ class TestGsigCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["gsig"] == "-4"
+
+    def test_removed_gsig_drop_vertex_flag_exit_2(self):
+        # the g-signature does not depend on the dropped vertex
+        # (test_gsig_independent_of_dropped_vertex), so gsig has no
+        # --drop-vertex
+        with pytest.raises(SystemExit) as e:
+            run(["gsig", str(NINE_40), "--drop-vertex", "0"])
+        assert e.value.code == 2
 
     def test_periodic_flags(self):
         code, out = run(["gsig", "--period", "2", "--sigma", "-4",
@@ -467,8 +478,6 @@ def test_undecodable_file_exit_2(argv, name, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["obstruct", str(NINE_40), "--drop-vertex", "99"],
     ["obstruct", str(NINE_40), "--drop-vertex", "-1"],
-    ["gsig", str(NINE_40), "--drop-vertex", "99"],
-    ["gsig", str(NINE_40), "--drop-vertex", "-1"],
     ["gsig", "--period", "1", "--sigma", "0", "--quotient-sigma", "0"],
     ["bounds", "--period", "1", "--sigma", "-2", "--quotient-sigma", "2"],
     ["bounds", "--gsig", "abc"],
@@ -480,10 +489,6 @@ def test_undecodable_file_exit_2(argv, name, tmp_path, capsys):
     ["gsig", "--gram", str(NINE_46), "--period", "2", "--sigma", "-4",
      "--quotient-sigma", "2"],
     ["gsig", str(NINE_40), "--gram", str(NINE_46), "--period", "2"],
-    ["gsig", "--gram", str(NINE_46), "--drop-vertex", "0"],
-    ["gsig", "--period", "2", "--sigma", "-4", "--quotient-sigma", "2",
-     "--drop-vertex", "0"],
-    ["gsig", "--drop-vertex", "0"],
     ["gsig", str(NINE_40), "--sigma", "-2"],
     ["gsig", "--gram", str(NINE_46), "--quotient-sigma", "2"],
     ["gsig", "--sigma", "-4", "--quotient-sigma", "2"],
@@ -491,6 +496,11 @@ def test_undecodable_file_exit_2(argv, name, tmp_path, capsys):
     ["gsig", "--period", "2", "--sigma", "-4", "--quotient-sigma", "1"],
     ["bounds", "--sigma", "3"],
     ["bounds", "--period", "2", "--sigma", "-2", "--quotient-sigma", "-1"],
+    ["bounds", "--gsig", "1.5"],
+    ["bounds", "--gsig", "2e3"],
+    ["bounds", "--gsig", "1/00"],
+    ["bounds", "--g4", str(2 ** 4096)],
+    ["bounds", "--gsig", f"1/{2 ** 4096}"],
 ])
 def test_bad_flag_exit_2(argv, tmp_path, capsys):
     gram = tmp_path / "g.json"
@@ -499,6 +509,46 @@ def test_bad_flag_exit_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error SCHEMA") and "Traceback" not in err
+
+
+BIG = "1" + "0" * 3000  # prints, but a product of two would not
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--gsig", "1e5000"],
+    ["bounds", "--gsig", "1e30000000"],
+    ["bounds", "--period", BIG, "--quotient-g4top", BIG, "--lambda", "1",
+     "--json"],
+    ["gsig", "--period", BIG, "--sigma", "-2", "--quotient-sigma",
+     "2" + BIG[1:]],
+], ids=["gsig_exponent", "gsig_huge_exponent", "rh_bound", "gsig_period"])
+def test_unprintable_bound_exit_2_fast(argv, capsys):
+    # each value is refused before a Fraction or a bound is built from
+    # it, not when str() of a bound of over 4300 digits fails
+    start = time.perf_counter()
+    code, out = run(argv)
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error SCHEMA") and "Traceback" not in err
+
+
+def test_largest_value_prints():
+    code, out = run(["bounds", "--g4", str(2 ** 4096 - 1), "--json"])
+    assert code == 0
+    assert json.loads(out)["best_lower"] == 2 ** 4096 - 1
+
+
+def test_unprintable_bound_is_batch_schema_row(tmp_path):
+    doc = json.loads(NINE_40.read_text())
+    doc["bounds"] = {"gsig": "1e5000"}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    code, out = run(["batch", str(tmp_path), "--json"])
+    assert code == 0
+    assert json.loads(out)["error"].startswith("SCHEMA: 'gsig' is not")
+    code, out = run(["batch", str(tmp_path)])
+    assert code == 0
+    assert out.splitlines()[1].split()[:3] == ["big", "ERROR", "SCHEMA:"]
 
 
 def _nine_40_with(**fields):
@@ -697,6 +747,23 @@ def test_verdict_independent_of_dropped_vertex(tmp_path, name, doc):
             seen.add((code, rep.get("k"), rep.get("class_count"),
                       rep.get("obstructed")))
         assert len(seen) == 1, (mode, seen)
+
+
+@pytest.mark.parametrize(
+    "name, doc", [(name, doc) for name, doc in _drop_vertex_cases().items()
+                  if doc["symmetry"]["order"] == 2])
+def test_gsig_independent_of_dropped_vertex(name, doc):
+    # sigma+, sigma- and the eigenspace dimensions are invariants of the
+    # form and its involution, so the basis that a dropped vertex picks
+    # cannot change them
+    case = parse_case(doc)
+    sym = case.symmetry
+    for sign in (1, -1):
+        spec = SymmetrySpec(sym.vertex_perm, 2, sym.kind, sign)
+        reports = {gsig_involution(gl_lattice(case.graph, d),
+                                   induced_isometry(case.graph, spec, d))
+                   for d in range(case.graph.vertex_count)}
+        assert len(reports) == 1, (sign, reports)
 
 
 def _obstruct_json(tmp_path, doc, *flags):
@@ -996,22 +1063,23 @@ def test_import_leaves_numpy_out():
 def test_closed_stdout_exits_0_quietly(unbuffered):
     # the reader has gone before anything is written, as `| head` may
     # leave it; a buffered stdout meets the closed pipe when main
-    # flushes, an unbuffered one at the print
+    # flushes, an unbuffered one at the print. argparse prints --help
+    # and exits before the report is written, and main flushes it then
     env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "eqknot.cli", "obstruct", str(NINE_40),
-             "--json"], stdout=write, stderr=subprocess.PIPE, env=env,
-            text=True, timeout=60)
-    finally:
-        os.close(write)
-    assert done.returncode == 0
-    assert done.stderr == ""
+    for argv in (["obstruct", str(NINE_40), "--json"], ["--help"],
+                 ["obstruct", "--help"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "eqknot.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, ""), argv
 
 
 def test_embed_json_memory_per_row(tmp_path):

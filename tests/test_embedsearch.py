@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -760,6 +761,21 @@ class TestDonaldsonObstruction:
             rep = donaldson_obstruction([[1]], lifts, 0, n)
             assert [d for _, d in rep.per_class] == [
                 SignedPermutation([0], [sign])]
+
+    def test_lift_that_does_not_preserve_g_raises(self):
+        # 9_40 at sigma -4: the lattice with vertex 1 dropped and R built
+        # for another dropped vertex admit no delta, which must not read
+        # as an obstruction; the matched pair is not obstructed
+        from test_cli import NINE_40
+        case = parse_case(json.loads(NINE_40.read_text()))
+        g, s = case.graph, case.symmetry
+        G = gl_lattice(g, 1)
+        assert not donaldson_obstruction(
+            G, [induced_isometry(g, s, 1)], -4, 2).obstructed
+        for drop in (0, 2, 3, 4):
+            R = induced_isometry(g, s, drop)
+            with pytest.raises(ValueError, match="does not preserve"):
+                donaldson_obstruction(G, [R], -4, 2)
 
     def test_basis_change_invariance(self, rng):
         G = ((2, 0), (0, 2))

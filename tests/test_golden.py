@@ -110,8 +110,6 @@ def _commands():
         out.append((f"obstruct_9_40_drop{v}_both",
                     ["obstruct", nine_40, "--drop-vertex", str(v),
                      "--sign-mode", "both", "--json"]))
-        out.append((f"gsig_9_40_drop{v}",
-                    ["gsig", nine_40, "--drop-vertex", str(v), "--json"]))
     for v in range(6):
         out.append((f"obstruct_c6_reflect_drop{v}",
                     ["obstruct", "{cases}/c6_reflect.json", "--drop-vertex",
